@@ -9,7 +9,7 @@
 // The second section measures the chaining middle stage (search/chain.h):
 // how far diagonal filtering + collinear chaining shrinks the fine-phase
 // candidate count, and that the significant hits are byte-identical with
-// chaining on and off — at threads 1 and 4, across all three index read
+// chaining on and off — at threads 1 and 4, across both index read
 // paths. With --benchmark_format=json (and/or --benchmark_out=FILE) it
 // emits the machine-readable document tools/benchgate.py compares
 // against bench/baselines/chain.json in CI.
@@ -196,8 +196,7 @@ int main(int argc, char** argv) {
   bool tophits_identical = true;
   bool modes_agree = true;
   std::vector<std::vector<HitKey>> reference_hits;
-  for (IndexMode mode :
-       {IndexMode::kMemory, IndexMode::kCached, IndexMode::kMmap}) {
+  for (IndexMode mode : {IndexMode::kMemory, IndexMode::kMmap}) {
     Result<IndexReader> reader = IndexReader::Open(idx_path, mode);
     bench::Unwrap(reader.status(), "index open");
     PartitionedSearch engine(&wl->collection, reader->source());

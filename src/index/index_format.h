@@ -1,7 +1,7 @@
 // Internal: shared parser for the on-disk index format's prefix (header,
 // document lengths, term directory). Used by InvertedIndex::Deserialize
-// (which then copies the postings blob into memory) and DiskIndex::Open
-// (which leaves the blob on disk and remembers only its file offset).
+// (which then copies the postings blob into memory) and MmapIndex::Open
+// (which decodes the blob in place out of the mapping).
 //
 // See index_io.cc for the format layout.
 

@@ -1,17 +1,14 @@
 // IndexReader: one entry point for "open this index file and give me a
-// PostingSource", switchable between the three read paths:
+// PostingSource", switchable between the two read paths:
 //
 //   kMemory  InvertedIndex::Load — the whole postings blob copied to
-//            heap; fastest steady state, heap grows with the index.
-//   kCached  DiskIndex::Open — directory on heap, postings fetched
-//            through a mutexed LRU block cache; the reference oracle
-//            for byte-identical A/B tests against the mmap path.
+//            heap; fastest steady state, heap grows with the index. The
+//            byte-identity oracle for the mmap path.
 //   kMmap    MmapIndex::Open — directory on heap, postings decoded
 //            zero-copy out of a read-only mapping; no lock, no warmup,
 //            serves indexes larger than RAM.
 //
-// cafe_cli and cafe_serve expose the choice as --index-mode=
-// memory|cached|mmap (--disk-index is kept as an alias for cached).
+// cafe_cli and cafe_serve expose the choice as --index-mode=memory|mmap.
 
 #ifndef CAFE_INDEX_INDEX_READER_H_
 #define CAFE_INDEX_INDEX_READER_H_
@@ -19,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "index/disk_index.h"
 #include "index/inverted_index.h"
 #include "index/mmap_index.h"
 #include "index/posting_source.h"
@@ -30,21 +26,11 @@ namespace cafe {
 
 enum class IndexMode {
   kMemory,
-  kCached,
   kMmap,
 };
 
-/// Parses "memory" | "cached" | "mmap" (plus the legacy spelling
-/// "disk" for cached); InvalidArgument otherwise.
+/// Parses "memory" (or "mem") | "mmap"; InvalidArgument otherwise.
 [[nodiscard]] Result<IndexMode> ParseIndexMode(const std::string& name);
-
-/// One shared resolution of the tools' flag pair: a non-empty
-/// --index-mode value wins (and is parsed exactly once); otherwise the
-/// legacy --disk-index boolean selects cached, default memory. Both
-/// cafe_cli and cafe_serve route through this, so the flag semantics
-/// cannot drift between them.
-[[nodiscard]] Result<IndexMode> ResolveIndexModeFlags(
-    const std::string& index_mode, bool disk_index);
 
 const char* IndexModeName(IndexMode mode);
 
@@ -59,8 +45,8 @@ class IndexReader {
   const PostingSource* source() const { return source_; }
   IndexMode mode() const { return mode_; }
 
-  /// Forwards to the implementation's metric mirror where one exists
-  /// (cached -> disk_index.*, mmap -> mmap_index.*; memory has none).
+  /// Forwards to the mmap path's metric mirror (mmap_index.*); the
+  /// memory path has none.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
   IndexReader(IndexReader&& other) noexcept { MoveFrom(std::move(other)); }
@@ -77,7 +63,6 @@ class IndexReader {
 
   IndexMode mode_ = IndexMode::kMemory;
   std::unique_ptr<InvertedIndex> memory_;
-  std::unique_ptr<DiskIndex> cached_;
   std::unique_ptr<MmapIndex> mapped_;
   const PostingSource* source_ = nullptr;
 };

@@ -1,26 +1,21 @@
 // MmapIndex: a zero-copy, lock-free disk-resident posting source.
 //
-// DiskIndex (the cached reference path) funnels every postings fetch
-// through a mutexed LRU block cache: one lock acquisition, one heap
-// allocation and one read() copy per cache miss, and a warmup period
-// before the cache earns its keep. MmapIndex removes all three. The
-// index file is mapped read-only once at Open; the directory is parsed
-// out of the mapping, the file's CRC is verified with one sequential
-// sweep (which doubles as the page first-touch pass), and from then on
-// ScanPostings decodes each term's list *directly from the mapped
-// bytes* — no copy, no lock, no warmup, no per-query allocation. The
-// kernel page cache is the only cache: shared across processes, sized
-// by available memory, and evicted under pressure, so indexes larger
-// than RAM serve correctly with the kernel paging postings in on
+// The index file is mapped read-only once at Open; the directory is
+// parsed out of the mapping, the file's CRC is verified with one
+// sequential sweep (which doubles as the page first-touch pass), and
+// from then on ScanPostings decodes each term's list *directly from the
+// mapped bytes* — no copy, no lock, no warmup, no per-query allocation.
+// The kernel page cache is the only cache: shared across processes,
+// sized by available memory, and evicted under pressure, so indexes
+// larger than RAM serve correctly with the kernel paging postings in on
 // demand (the mapping is advised MADV_RANDOM after the sweep so point
 // lookups do not drag readahead behind them).
 //
 // Reentrancy contract: the object is immutable after Open and the
 // mapped bytes are read-only, so ScanPostings and every other const
 // query method are safe for unlimited concurrent callers with no
-// synchronization whatsoever — the property DiskIndex's mutex only
-// approximates. AttachMetrics is the one mutating call; make it before
-// serving traffic.
+// synchronization whatsoever. AttachMetrics is the one mutating call;
+// make it before serving traffic.
 //
 // Failure model: Open returns Status for every malformed input
 // (missing file, truncation, bit-rot caught by the CRC) — never a

@@ -1,14 +1,12 @@
 // PostingSource: the interface the coarse search phase consumes.
 //
-// Three implementations exist: InvertedIndex (everything resident in
-// memory), DiskIndex (directory in memory, postings read from disk on
-// demand with a mutexed LRU cache — the cached reference path), and
-// MmapIndex (directory in memory, postings decoded zero-copy out of a
-// read-only mapping, no lock) — the configuration the CAFE system
-// actually shipped, where the index is much larger than main memory
-// and "index-based approaches do not rely on the entire collection
-// fitting into main memory". Tools select between them with
-// --index-mode=memory|cached|mmap.
+// Two implementations exist: InvertedIndex (everything resident in
+// memory) and MmapIndex (directory in memory, postings decoded
+// zero-copy out of a read-only mapping, no lock) — the configuration
+// the CAFE system actually shipped, where the index is much larger than
+// main memory and "index-based approaches do not rely on the entire
+// collection fitting into main memory". Tools select between them with
+// --index-mode=memory|mmap.
 
 #ifndef CAFE_INDEX_POSTING_SOURCE_H_
 #define CAFE_INDEX_POSTING_SOURCE_H_
@@ -42,10 +40,9 @@ class PostingSource {
   /// Streams the postings of `term` through `fn`; no-op for unindexed
   /// terms. Implementations must be safe for concurrent calls from
   /// multiple search threads — the parallel query layer (BatchSearch)
-  /// issues coarse-phase scans from every worker. InvertedIndex and
-  /// MmapIndex decode with thread-local scratch over immutable bytes
-  /// (no lock anywhere); DiskIndex serializes its file reads and cache
-  /// updates behind a mutex and decodes outside the lock.
+  /// issues coarse-phase scans from every worker. Both implementations
+  /// decode with thread-local scratch over immutable bytes (no lock
+  /// anywhere).
   virtual void ScanPostings(uint32_t term, const PostingCallback& fn)
       const = 0;
 };

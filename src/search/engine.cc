@@ -98,17 +98,7 @@ Result<std::vector<SearchResult>> SearchEngine::BatchSearch(
 
 Result<std::vector<SearchResult>> SearchEngine::BatchSearchTraced(
     const std::vector<std::string>& queries, const SearchOptions& options,
-    std::vector<obs::SearchTrace>* traces,
-    const std::vector<Deadline>* deadlines,
-    const std::vector<obs::SpanRecorder*>* spans) {
-  if (deadlines != nullptr && deadlines->size() != queries.size()) {
-    return Status::InvalidArgument(
-        "BatchSearchTraced: deadlines must match queries in size");
-  }
-  if (spans != nullptr && spans->size() != queries.size()) {
-    return Status::InvalidArgument(
-        "BatchSearchTraced: spans must match queries in size");
-  }
+    std::vector<obs::SearchTrace>* traces) {
   std::vector<SearchResult> results(queries.size());
   // Each query records into its own slot so concurrent queries never
   // share a trace; options.trace receives the input-order merge at the
@@ -129,8 +119,6 @@ Result<std::vector<SearchResult>> SearchEngine::BatchSearchTraced(
     SearchOptions per_query = options;
     for (size_t i = 0; i < queries.size(); ++i) {
       per_query.trace = tracing ? &(*slots)[i] : nullptr;
-      if (deadlines != nullptr) per_query.deadline = &(*deadlines)[i];
-      if (spans != nullptr) per_query.spans = (*spans)[i];
       Result<SearchResult> r =
           SearchWithStrands(this, queries[i], per_query);
       if (!r.ok()) return r.status();
@@ -150,8 +138,6 @@ Result<std::vector<SearchResult>> SearchEngine::BatchSearchTraced(
     pool.ParallelFor(queries.size(), [&](size_t i, unsigned /*worker*/) {
       SearchOptions query_options = per_query;
       query_options.trace = tracing ? &(*slots)[i] : nullptr;
-      if (deadlines != nullptr) query_options.deadline = &(*deadlines)[i];
-      if (spans != nullptr) query_options.spans = (*spans)[i];
       Result<SearchResult> r =
           SearchWithStrands(this, queries[i], query_options);
       if (r.ok()) {

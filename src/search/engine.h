@@ -239,21 +239,9 @@ class SearchEngine {
   /// recorded into private structs even when queries run concurrently,
   /// then options.trace (if set) additionally receives their merge in
   /// input order — so batch totals are identical at every thread count.
-  ///
-  /// `deadlines`, when non-null, must hold one Deadline per query; query
-  /// i runs with options.deadline pointing at (*deadlines)[i] (the
-  /// serving layer's per-request deadlines, which differ within one
-  /// coalesced batch). Null keeps options.deadline for every query.
-  ///
-  /// `spans`, when non-null, must hold one SpanRecorder pointer per
-  /// query (null entries allowed — only sampled requests in a coalesced
-  /// batch carry a recorder); query i runs with options.spans pointing
-  /// at (*spans)[i]. Null keeps options.spans for every query.
   Result<std::vector<SearchResult>> BatchSearchTraced(
       const std::vector<std::string>& queries, const SearchOptions& options,
-      std::vector<obs::SearchTrace>* traces,
-      const std::vector<Deadline>* deadlines = nullptr,
-      const std::vector<obs::SpanRecorder*>* spans = nullptr);
+      std::vector<obs::SearchTrace>* traces);
 };
 
 /// Evaluates the query through `engine`, and — when

@@ -30,9 +30,7 @@ Dispatcher::Dispatcher(SearchEngine* engine,
     accepted_ = m->GetCounter("server.requests_accepted");
     rejected_ = m->GetCounter("server.requests_rejected");
     deadline_exceeded_ = m->GetCounter("server.deadline_exceeded");
-    batches_ = m->GetCounter("server.batches_dispatched");
     queue_depth_ = m->GetHistogram("server.queue_depth");
-    batch_size_ = m->GetHistogram("server.batch_size");
     queue_wait_micros_ = m->GetHistogram("server.queue_wait_micros");
     search_micros_ = m->GetHistogram("server.search_micros");
     request_micros_ = m->GetHistogram("server.request_micros");
@@ -57,7 +55,9 @@ Result<SearchResult> Dispatcher::Execute(const SearchRequest& request,
   pending->options.min_chain_score = options_.min_chain_score;
   if (request.deadline_millis > 0) {
     pending->deadline = Deadline::AfterMillis(request.deadline_millis);
+    pending->options.deadline = &pending->deadline;
   }
+  pending->options.trace = &pending->trace;
   pending->key = request.OptionsKey();
   pending->trace_id = request.trace_id;
 
@@ -124,113 +124,48 @@ size_t Dispatcher::QueueDepth() const {
 
 void Dispatcher::WorkerLoop() {
   while (true) {
-    std::vector<std::shared_ptr<Pending>> batch;
+    std::shared_ptr<Pending> p;
     {
       MutexLock lock(&mu_);
       while (!stopping_ && queue_.empty()) work_cv_.Wait(&mu_);
       if (queue_.empty()) return;  // stopping, and fully drained
-      batch.push_back(queue_.front());
+      p = std::move(queue_.front());
       queue_.pop_front();
-      // Coalesce: sweep the queue front-to-back for requests that can
-      // share this BatchSearch call (same options key), preserving
-      // arrival order among those taken.
-      const std::string& key = batch.front()->key;
-      for (auto it = queue_.begin();
-           it != queue_.end() && batch.size() < options_.max_batch;) {
-        if ((*it)->key == key) {
-          batch.push_back(*it);
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
     }
-    RunBatch(std::move(batch));
+    Run(p);
   }
 }
 
-void Dispatcher::RunBatch(std::vector<std::shared_ptr<Pending>> batch) {
-  if (batches_ != nullptr) batches_->Increment();
-  if (batch_size_ != nullptr) batch_size_->Record(batch.size());
-  for (const auto& p : batch) {
-    p->queue_micros = static_cast<uint64_t>(p->admitted.Micros());
-    if (queue_wait_micros_ != nullptr) {
-      queue_wait_micros_->Record(p->queue_micros);
-    }
-    // queue.wait ends for every member at dispatch — including the
-    // queue-expired ones, whose timeline is queue wait and nothing
-    // else.
-    if (p->spans != nullptr) p->spans->EndSpan(p->queue_span);
+void Dispatcher::Run(const std::shared_ptr<Pending>& p) {
+  p->queue_micros = static_cast<uint64_t>(p->admitted.Micros());
+  if (queue_wait_micros_ != nullptr) {
+    queue_wait_micros_->Record(p->queue_micros);
   }
+  // queue.wait ends at dispatch — also for a queue-expired request,
+  // whose timeline is queue wait and nothing else.
+  if (p->spans != nullptr) p->spans->EndSpan(p->queue_span);
 
-  // Requests whose whole budget was spent queueing complete here as
-  // truncated empties — paying for an alignment the client has already
+  // A request whose whole budget was spent queueing completes here as a
+  // truncated empty — paying for an alignment the client has already
   // given up on only deepens an overload.
-  std::vector<std::shared_ptr<Pending>> live;
-  live.reserve(batch.size());
-  for (auto& p : batch) {
-    if (p->deadline.Expired()) {
-      p->deadline_expired = true;
-      SearchResult expired;
-      expired.truncated = true;
-      Complete(p, Status::OK(), std::move(expired));
-    } else {
-      live.push_back(std::move(p));
-    }
-  }
-  if (live.empty()) return;
-
-  std::vector<std::string> queries;
-  std::vector<Deadline> deadlines;
-  std::vector<obs::SpanRecorder*> span_ptrs;
-  queries.reserve(live.size());
-  deadlines.reserve(live.size());
-  span_ptrs.reserve(live.size());
-  for (const auto& p : live) {
-    queries.push_back(p->query);
-    deadlines.push_back(p->deadline);
-    // batch.search covers engine evaluation for this member. Each
-    // request records into its own recorder (null for unsampled
-    // batch-mates), so coalescing never blurs timelines — the same
-    // isolation the per-query trace slots give the funnel counters.
-    if (p->spans != nullptr) {
-      p->batch_span = p->spans->StartSpan("batch.search");
-    }
-    span_ptrs.push_back(p->spans.get());
+  if (p->deadline.Expired()) {
+    p->deadline_expired = true;
+    SearchResult expired;
+    expired.truncated = true;
+    Complete(p, Status::OK(), std::move(expired));
+    return;
   }
 
   WallTimer search_timer;
-  std::vector<obs::SearchTrace> traces;
-  Result<std::vector<SearchResult>> results = engine_->BatchSearchTraced(
-      queries, live.front()->options, &traces, &deadlines, &span_ptrs);
+  Result<SearchResult> result =
+      SearchWithStrands(engine_, p->query, p->options);
   if (search_micros_ != nullptr) {
     search_micros_->Record(static_cast<uint64_t>(search_timer.Micros()));
   }
-
-  if (results.ok()) {
-    for (size_t i = 0; i < live.size(); ++i) {
-      // Each request keeps its own slot of the batch trace, so the
-      // flight recorder shows this query's funnel, not the batch's.
-      if (i < traces.size()) live[i]->trace = traces[i];
-      Complete(live[i], Status::OK(), std::move((*results)[i]));
-    }
-    return;
-  }
-  // The batch failed on its first bad query; re-run the members one at
-  // a time so each request gets its own verdict instead of a shared
-  // error (one malformed query must not fail its batch-mates).
-  for (const auto& p : live) {
-    SearchOptions options = p->options;
-    options.deadline = p->deadline.has_deadline() ? &p->deadline : nullptr;
-    options.trace = &p->trace;  // keep the funnel even on the retry path
-    options.spans = p->spans.get();  // and the timeline
-    Result<SearchResult> one =
-        SearchWithStrands(engine_, p->query, options);
-    if (one.ok()) {
-      Complete(p, Status::OK(), std::move(*one));
-    } else {
-      Complete(p, one.status(), SearchResult());
-    }
+  if (result.ok()) {
+    Complete(p, Status::OK(), std::move(*result));
+  } else {
+    Complete(p, result.status(), SearchResult());
   }
 }
 
@@ -252,10 +187,7 @@ void Dispatcher::Complete(const std::shared_ptr<Pending>& p, Status status,
   // published, so a client that sees the response's sampled flag can
   // fetch /tracez immediately. Both stores use only leaf locks, so
   // nothing nests under mu_.
-  if (p->spans != nullptr) {
-    p->spans->EndSpan(p->batch_span);
-    p->spans->EndSpan(p->root_span);
-  }
+  if (p->spans != nullptr) p->spans->EndSpan(p->root_span);
   RecordFlight(*p);
   if (p->spans != nullptr && options_.span_store != nullptr) {
     options_.span_store->Put(*p->spans);

@@ -2,10 +2,9 @@
 // search engine.
 //
 // Connection handlers block in Execute(); a small pool of dispatcher
-// workers drains the shared queue, coalescing concurrently-arriving
-// requests with compatible options into one
-// SearchEngine::BatchSearchTraced call — the engine's heavy-traffic
-// shape — while each request keeps its own deadline.
+// workers drains the shared queue one request at a time, each through
+// SearchWithStrands with the request's own deadline, trace and span
+// recorder.
 //
 // Admission control is a hard bound on queue depth: when the queue is
 // full (or the dispatcher is stopping) Execute returns
@@ -39,17 +38,15 @@
 namespace cafe::server {
 
 struct DispatcherOptions {
-  /// Dispatcher worker threads — concurrent BatchSearch calls.
+  /// Dispatcher worker threads — requests evaluated concurrently.
   uint32_t workers = 2;
   /// Admission bound: requests queued (not yet dispatched) beyond this
   /// are rejected with kOverloaded.
   uint32_t max_queue = 256;
-  /// At most this many compatible requests coalesce into one batch.
-  uint32_t max_batch = 8;
-  /// SearchOptions::threads for each query inside a batch. 1 (the
-  /// default) keeps each query sequential — parallelism comes from
-  /// batching and the worker pool, which composes safely with
-  /// BatchSearch's own fan-out rules.
+  /// SearchOptions::threads for each request. 1 (the default) keeps
+  /// each request sequential — parallelism comes from the worker pool.
+  /// Larger values fan one request's fine phase out over its own
+  /// thread pool.
   uint32_t search_threads = 1;
   /// Server-side chaining defaults applied to every admitted request
   /// (the wire protocol carries no chain fields, so the operator's
@@ -63,8 +60,7 @@ struct DispatcherOptions {
   /// When non-null, every completed request — including queue-expired
   /// and failed ones — leaves one FlightRecord here: trace id, options
   /// fingerprint, queue wait, end-to-end time, and the per-request
-  /// pruning funnel (the per-query slot of BatchSearchTraced, so
-  /// batch-mates never blur each other's funnel).
+  /// pruning funnel.
   obs::FlightRecorder* flight = nullptr;
   /// Fraction of admitted requests ([0,1]) that record a span timeline
   /// (obs::SpanSampler decides per trace id). 0 — the default — turns
@@ -113,13 +109,13 @@ class Dispatcher {
   // worker's plain writes before the waiter's reads).
   struct Pending {
     std::string query;
-    SearchOptions options;  // deadline handled separately, see below
+    SearchOptions options;  // points at deadline, trace and spans below
     Deadline deadline;
-    std::string key;        // OptionsKey() of the originating request
+    std::string key;        // OptionsKey(): the flight fingerprint
     uint64_t trace_id = 0;  // wire trace id, 0 when the caller sent none
     WallTimer admitted;     // queue-wait + end-to-end latency clock
-    uint64_t queue_micros = 0;    // stamped when the batch is dispatched
-    obs::SearchTrace trace;       // this request's slot of the batch trace
+    uint64_t queue_micros = 0;    // stamped when a worker dequeues it
+    obs::SearchTrace trace;       // this request's pruning funnel
     bool deadline_expired = false;  // budget spent before dispatch
     // Span timeline of a sampled request (null otherwise). The
     // recorder rides the same ownership protocol as the other fields:
@@ -129,17 +125,14 @@ class Dispatcher {
     std::unique_ptr<obs::SpanRecorder> spans;
     uint32_t root_span = 0;   // "request" (opened at admission)
     uint32_t queue_span = 0;  // "queue.wait" (ended at dispatch)
-    uint32_t batch_span = 0;  // "batch.search" (live batch members)
     SearchResult result;
     Status status;
     bool done = false;
   };
 
   void WorkerLoop() CAFE_EXCLUDES(mu_);
-  /// Runs one coalesced batch outside the lock and completes each
-  /// request. `batch` is non-empty and shares one options key.
-  void RunBatch(std::vector<std::shared_ptr<Pending>> batch)
-      CAFE_EXCLUDES(mu_);
+  /// Runs one dequeued request outside the lock and completes it.
+  void Run(const std::shared_ptr<Pending>& p) CAFE_EXCLUDES(mu_);
   /// Records `p`'s flight record (outside any lock), then publishes
   /// `done` under mu_ and wakes the waiter.
   void Complete(const std::shared_ptr<Pending>& p, Status status,
@@ -169,9 +162,7 @@ class Dispatcher {
   obs::Counter* accepted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;
-  obs::Counter* batches_ = nullptr;
   obs::Histogram* queue_depth_ = nullptr;
-  obs::Histogram* batch_size_ = nullptr;
   obs::Histogram* queue_wait_micros_ = nullptr;
   obs::Histogram* search_micros_ = nullptr;
   obs::Histogram* request_micros_ = nullptr;

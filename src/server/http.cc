@@ -148,14 +148,19 @@ void HttpServer::Shutdown() {
   close(listen_fd_);
   listen_fd_ = -1;
 
+  std::list<std::thread> threads;
   {
     MutexLock lock(&conn_mu_);
     for (int fd : conn_fds_) shutdown(fd, SHUT_RDWR);
+    threads.swap(conn_threads_);
   }
-  for (std::thread& t : conn_threads_) {
+  for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
-  conn_threads_.clear();
+  {
+    MutexLock lock(&conn_mu_);
+    finished_conns_.clear();  // pointed into `threads`, all joined now
+  }
   started_ = false;
 }
 
@@ -166,14 +171,35 @@ void HttpServer::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // shutdown(listen_fd_) during Shutdown() lands here
     }
-    MutexLock lock(&conn_mu_);
-    if (stopping_) {
-      close(fd);
-      return;
+    std::list<std::thread> finished;
+    {
+      MutexLock lock(&conn_mu_);
+      if (stopping_) {
+        close(fd);
+        return;
+      }
+      finished = TakeFinishedConns();
+      conn_fds_.insert(fd);
+      auto self = conn_threads_.emplace(conn_threads_.end());
+      *self = std::thread([this, fd, self] {
+        HandleConnection(fd);
+        MutexLock done_lock(&conn_mu_);
+        conn_fds_.erase(fd);
+        close(fd);
+        finished_conns_.push_back(self);
+      });
     }
-    conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    for (std::thread& t : finished) t.join();
   }
+}
+
+std::list<std::thread> HttpServer::TakeFinishedConns() {
+  std::list<std::thread> finished;
+  for (auto it : finished_conns_) {
+    finished.splice(finished.end(), conn_threads_, it);
+  }
+  finished_conns_.clear();
+  return finished;
 }
 
 void HttpServer::HandleConnection(int fd) {
@@ -206,10 +232,6 @@ void HttpServer::HandleConnection(int fd) {
     }
     WriteResponse(fd, response);
   }
-
-  MutexLock lock(&conn_mu_);
-  conn_fds_.erase(fd);
-  close(fd);
 }
 
 }  // namespace cafe::server

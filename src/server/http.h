@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <set>
 #include <string>
 #include <thread>
@@ -71,6 +72,9 @@ class HttpServer {
  private:
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Removes the handler threads that have finished from
+  /// conn_threads_ and returns them for joining outside the lock.
+  std::list<std::thread> TakeFinishedConns() CAFE_REQUIRES(conn_mu_);
 
   const HttpHandler handler_;
   const HttpOptions options_;
@@ -81,10 +85,13 @@ class HttpServer {
 
   Mutex conn_mu_;
   std::set<int> conn_fds_ CAFE_GUARDED_BY(conn_mu_);
-  // Appended by the accept loop under conn_mu_; drained by Shutdown()
-  // only after the accept thread is joined (no writer left), so the
-  // joins themselves run lock-free — a phase protocol, not a guard.
-  std::vector<std::thread> conn_threads_;
+  // One thread per connection, appended by the accept loop. A handler
+  // about to exit files its own node in finished_conns_; the accept
+  // loop joins those before it spawns the next handler, so finished
+  // handlers do not keep their stacks mapped. Shutdown() joins the rest.
+  std::list<std::thread> conn_threads_ CAFE_GUARDED_BY(conn_mu_);
+  std::vector<std::list<std::thread>::iterator> finished_conns_
+      CAFE_GUARDED_BY(conn_mu_);
   bool stopping_ CAFE_GUARDED_BY(conn_mu_) = false;
   // Written by Start()/Shutdown() only; those two are externally
   // serialized (Start from the owner, Shutdown under shutdown_mu_).

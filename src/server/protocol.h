@@ -94,9 +94,9 @@ struct SearchRequest {
   /// server-side knobs left at their defaults).
   SearchOptions ToSearchOptions() const;
 
-  /// Batching compatibility key: requests with equal keys may share one
-  /// BatchSearch call (everything except the query and the deadline,
-  /// which stay per-request).
+  /// Options fingerprint: everything except the query, the deadline and
+  /// the trace id, so requests with equal keys asked for the same
+  /// search. The flight recorder stores it with every request.
   std::string OptionsKey() const;
 };
 

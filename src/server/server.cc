@@ -106,14 +106,19 @@ void Server::Shutdown() {
   // 2. Half-close every live connection: handlers blocked in ReadFrame
   //    see EOF and exit; a handler mid-request finishes it and still
   //    writes the response (writes stay open).
+  std::list<std::thread> threads;
   {
     MutexLock lock(&conn_mu_);
     for (int fd : conn_fds_) shutdown(fd, SHUT_RD);
+    threads.swap(conn_threads_);
   }
-  for (std::thread& t : conn_threads_) {
+  for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
-  conn_threads_.clear();
+  {
+    MutexLock lock(&conn_mu_);
+    finished_conns_.clear();  // pointed into `threads`, all joined now
+  }
 
   // 3. With every connection gone, the dispatcher queue can only
   //    shrink; drain it and join the workers.
@@ -129,14 +134,35 @@ void Server::AcceptLoop() {
       // shutdown(listen_fd_) during Shutdown() lands here.
       return;
     }
-    MutexLock lock(&conn_mu_);
-    if (stopping_) {
-      close(fd);
-      return;
+    std::list<std::thread> finished;
+    {
+      MutexLock lock(&conn_mu_);
+      if (stopping_) {
+        close(fd);
+        return;
+      }
+      finished = TakeFinishedConns();
+      conn_fds_.insert(fd);
+      auto self = conn_threads_.emplace(conn_threads_.end());
+      *self = std::thread([this, fd, self] {
+        HandleConnection(fd);
+        MutexLock done_lock(&conn_mu_);
+        conn_fds_.erase(fd);
+        close(fd);
+        finished_conns_.push_back(self);
+      });
     }
-    conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    for (std::thread& t : finished) t.join();
   }
+}
+
+std::list<std::thread> Server::TakeFinishedConns() {
+  std::list<std::thread> finished;
+  for (auto it : finished_conns_) {
+    finished.splice(finished.end(), conn_threads_, it);
+  }
+  finished_conns_.clear();
+  return finished;
 }
 
 void Server::HandleConnection(int fd) {
@@ -201,10 +227,6 @@ void Server::HandleConnection(int fd) {
       }
     }
   }
-
-  MutexLock lock(&conn_mu_);
-  conn_fds_.erase(fd);
-  close(fd);
 }
 
 std::string Server::StatsJson() const {

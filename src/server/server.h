@@ -5,7 +5,7 @@
 // reads are the simple and correct shape), and the Dispatcher's worker
 // pool doing the actual searching. Connection threads never touch the
 // engine directly — every query goes through Dispatcher::Execute, which
-// is where batching, admission control and deadlines live.
+// is where admission control and deadlines live.
 //
 // Shutdown() is graceful and ordered: stop accepting, half-close every
 // connection (pending reads see EOF, requests already being processed
@@ -17,6 +17,7 @@
 #define CAFE_SERVER_SERVER_H_
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <set>
 #include <string>
@@ -44,8 +45,8 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// `engine` must outlive the server and support concurrent Search
-  /// (or the dispatcher's batches fall back to sequential evaluation).
+  /// `engine` must outlive the server and, with more than one
+  /// dispatcher worker, support concurrent Search.
   Server(SearchEngine* engine, const ServerOptions& options);
   ~Server();  // calls Shutdown()
 
@@ -74,6 +75,9 @@ class Server {
  private:
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Removes the handler threads that have finished from
+  /// conn_threads_ and returns them for joining outside the lock.
+  std::list<std::thread> TakeFinishedConns() CAFE_REQUIRES(conn_mu_);
   /// The `stats` verb payload: one JSON document in the --stats=json
   /// schema family ({"command":"stats","server":{…},"metrics":{…}}).
   std::string StatsJson() const;
@@ -90,10 +94,13 @@ class Server {
 
   Mutex conn_mu_;
   std::set<int> conn_fds_ CAFE_GUARDED_BY(conn_mu_);
-  // Appended by the accept loop under conn_mu_; drained by Shutdown()
-  // only after the accept thread is joined (no writer left), so the
-  // joins themselves run lock-free — a phase protocol, not a guard.
-  std::vector<std::thread> conn_threads_;
+  // One thread per connection, appended by the accept loop. A handler
+  // about to exit files its own node in finished_conns_; the accept
+  // loop joins those before it spawns the next handler, so finished
+  // handlers do not keep their stacks mapped. Shutdown() joins the rest.
+  std::list<std::thread> conn_threads_ CAFE_GUARDED_BY(conn_mu_);
+  std::vector<std::list<std::thread>::iterator> finished_conns_
+      CAFE_GUARDED_BY(conn_mu_);
   bool stopping_ CAFE_GUARDED_BY(conn_mu_) = false;
   // Written by Start()/Shutdown() only; those two are externally
   // serialized (Start from the owner, Shutdown under shutdown_mu_).

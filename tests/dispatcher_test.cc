@@ -1,6 +1,7 @@
-// Dispatcher semantics: request batching, admission control, queue-
-// expired deadlines, and graceful drain — all against a stub engine
-// whose Search can be held closed so the queue fills deterministically.
+// Dispatcher semantics: one engine call per request in arrival order,
+// admission control, queue-expired deadlines, and graceful drain — all
+// against a stub engine whose Search can be held closed so the queue
+// fills deterministically.
 
 #include <gtest/gtest.h>
 
@@ -41,8 +42,8 @@ class Gate {
   bool open_ = false;
 };
 
-// Concurrent-safe engine that waits on a gate, counts entries, and
-// echoes the query length back as the hit score.
+// Concurrent-safe engine that waits on a gate, logs the queries it is
+// called with, and echoes the query length back as the hit score.
 class StubEngine : public SearchEngine {
  public:
   explicit StubEngine(Gate* gate = nullptr) : gate_(gate) {}
@@ -52,6 +53,10 @@ class StubEngine : public SearchEngine {
 
   Result<SearchResult> Search(std::string_view query,
                               const SearchOptions& options) override {
+    {
+      std::lock_guard<std::mutex> lock(calls_mu_);
+      calls_.emplace_back(query);
+    }
     entered_.fetch_add(1);
     if (gate_ != nullptr) gate_->Wait();
     SearchResult result;
@@ -67,10 +72,16 @@ class StubEngine : public SearchEngine {
   }
 
   int entered() const { return entered_.load(); }
+  std::vector<std::string> calls() {
+    std::lock_guard<std::mutex> lock(calls_mu_);
+    return calls_;
+  }
 
  private:
   Gate* gate_;
   std::atomic<int> entered_{0};
+  std::mutex calls_mu_;
+  std::vector<std::string> calls_;
 };
 
 // Polls until `pred` holds (the cross-thread assertions here have no
@@ -104,62 +115,45 @@ TEST(DispatcherTest, ExecuteReturnsEngineResult) {
   EXPECT_FALSE(result->truncated);
 }
 
-TEST(DispatcherTest, CoalescesCompatibleRequests) {
+// Queued requests never share an engine call: each one is evaluated
+// on its own, in arrival order, and gets its own result back.
+TEST(DispatcherTest, QueuedRequestsRunOneAtATimeInArrivalOrder) {
   Gate gate;
   StubEngine engine(&gate);
   obs::MetricsRegistry metrics;
   DispatcherOptions options;
   options.workers = 1;
-  options.max_batch = 8;
   options.metrics = &metrics;
   Dispatcher dispatcher(&engine, options);
 
-  // First request occupies the single worker inside the gated engine...
+  // The first request occupies the single worker inside the gated
+  // engine...
   std::vector<std::thread> threads;
   threads.emplace_back(
       [&] { EXPECT_TRUE(dispatcher.Execute(Req("AAAA")).ok()); });
   WaitUntil([&] { return engine.entered() == 1; });
 
-  // ...so these three stack up in the queue and must leave as ONE batch.
-  for (int i = 0; i < 3; ++i) {
+  // ...so these three queue up behind it, admitted one after another.
+  const std::vector<std::string> queued = {"CCCCC", "GGGGGG", "TTTTTTT"};
+  std::vector<Result<SearchResult>> results(
+      queued.size(), Status::Internal("not yet completed"));
+  for (size_t i = 0; i < queued.size(); ++i) {
     threads.emplace_back(
-        [&] { EXPECT_TRUE(dispatcher.Execute(Req("CCCCC")).ok()); });
+        [&, i] { results[i] = dispatcher.Execute(Req(queued[i])); });
+    WaitUntil([&] { return dispatcher.QueueDepth() == i + 1; });
   }
-  WaitUntil([&] { return dispatcher.QueueDepth() == 3; });
   gate.Open();
   for (std::thread& t : threads) t.join();
 
+  EXPECT_EQ(engine.calls(),
+            (std::vector<std::string>{"AAAA", "CCCCC", "GGGGGG", "TTTTTTT"}));
+  for (size_t i = 0; i < queued.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    ASSERT_EQ(results[i]->hits.size(), 1u);
+    EXPECT_EQ(results[i]->hits[0].score, static_cast<int>(queued[i].size()));
+  }
   EXPECT_EQ(CounterValue(&metrics, "server.requests_accepted"), 4u);
-  EXPECT_EQ(CounterValue(&metrics, "server.batches_dispatched"), 2u);
   EXPECT_EQ(CounterValue(&metrics, "server.requests_rejected"), 0u);
-}
-
-TEST(DispatcherTest, IncompatibleOptionsDoNotShareABatch) {
-  Gate gate;
-  StubEngine engine(&gate);
-  obs::MetricsRegistry metrics;
-  DispatcherOptions options;
-  options.workers = 1;
-  options.metrics = &metrics;
-  Dispatcher dispatcher(&engine, options);
-
-  std::vector<std::thread> threads;
-  threads.emplace_back(
-      [&] { EXPECT_TRUE(dispatcher.Execute(Req("AAAA")).ok()); });
-  WaitUntil([&] { return engine.entered() == 1; });
-
-  SearchRequest narrow = Req("CCCCC");
-  narrow.max_results = 3;  // different options key than the default
-  threads.emplace_back(
-      [&] { EXPECT_TRUE(dispatcher.Execute(Req("GGGGG")).ok()); });
-  threads.emplace_back(
-      [&] { EXPECT_TRUE(dispatcher.Execute(narrow).ok()); });
-  WaitUntil([&] { return dispatcher.QueueDepth() == 2; });
-  gate.Open();
-  for (std::thread& t : threads) t.join();
-
-  // Blocker alone, then the two incompatible requests one each.
-  EXPECT_EQ(CounterValue(&metrics, "server.batches_dispatched"), 3u);
 }
 
 TEST(DispatcherTest, FullQueueRejectsWithOverloaded) {

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 namespace cafe::server {
@@ -160,6 +162,32 @@ TEST_F(HttpServerTest, ShutdownIsIdempotentAndRestartable) {
   std::string response =
       Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
+}
+
+// VmSize of this process in KiB, from /proc/self/status (0 if absent).
+uint64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+// Finished handlers are joined from the accept loop, not kept until
+// Shutdown(): 200 scrapes in a row grow the address space by far less
+// than one thread stack (8 MiB by default) per connection.
+TEST_F(HttpServerTest, ConnectionChurnDoesNotGrowAddressSpace) {
+  StartServer();
+  Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
+  const uint64_t before = VmSizeKiB();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) {
+    Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
+  }
+  const uint64_t after = VmSizeKiB();
+  EXPECT_LT(after, before + 200 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after << " KiB";
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "collection/collection.h"
-#include "index/disk_index.h"
 #include "index/index_reader.h"
 #include "search/partitioned.h"
 #include "sim/workload.h"
@@ -123,19 +122,19 @@ TEST(MmapIndexTest, OpenParsesMetadata) {
 }
 
 // The tentpole contract: every term in the vocabulary decodes to the
-// same postings through the mmap path, the cached DiskIndex path (the
-// reference oracle) and the in-memory index.
-TEST(MmapIndexTest, FullVocabularyMatchesDiskIndexAndMemory) {
+// same postings through the mmap path, the memory path loaded from the
+// same file (the reference oracle) and the index as built.
+TEST(MmapIndexTest, FullVocabularyMatchesMemory) {
   Fixture f = MakeFixture();
   Result<std::unique_ptr<MmapIndex>> mapped = MmapIndex::Open(f.path);
   ASSERT_TRUE(mapped.ok());
-  Result<std::unique_ptr<DiskIndex>> disk = DiskIndex::Open(f.path);
-  ASSERT_TRUE(disk.ok());
+  Result<InvertedIndex> loaded = InvertedIndex::Load(f.path);
+  ASSERT_TRUE(loaded.ok());
   size_t checked = 0;
   f.index.directory().ForEachTerm([&](uint32_t term, const TermEntry&) {
     std::vector<PostingTuple> want = Collect(f.index, term);
     EXPECT_EQ(Collect(**mapped, term), want) << "mmap term " << term;
-    EXPECT_EQ(Collect(**disk, term), want) << "disk term " << term;
+    EXPECT_EQ(Collect(*loaded, term), want) << "memory term " << term;
     ++checked;
   });
   EXPECT_GT(checked, 100u);
@@ -265,15 +264,16 @@ TEST(MmapIndexTest, MetricsMirrorCountsScans) {
 
 TEST(MmapIndexTest, IndexReaderSelectsEachMode) {
   Fixture f = MakeFixture();
-  for (IndexMode mode :
-       {IndexMode::kMemory, IndexMode::kCached, IndexMode::kMmap}) {
+  for (IndexMode mode : {IndexMode::kMemory, IndexMode::kMmap}) {
     Result<IndexReader> reader = IndexReader::Open(f.path, mode);
     ASSERT_TRUE(reader.ok()) << IndexModeName(mode);
     EXPECT_EQ(reader->mode(), mode);
     EXPECT_EQ(reader->source()->num_docs(), f.index.num_docs());
   }
   EXPECT_TRUE(ParseIndexMode("mmap").ok());
-  EXPECT_TRUE(ParseIndexMode("disk").ok());  // legacy alias for cached
+  // The retired block-cache read path and its legacy alias.
+  EXPECT_TRUE(ParseIndexMode("cached").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseIndexMode("disk").status().IsInvalidArgument());
   EXPECT_TRUE(ParseIndexMode("sideways").status().IsInvalidArgument());
   ASSERT_TRUE(RemoveFile(f.path).ok());
 }

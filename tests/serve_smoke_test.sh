@@ -119,7 +119,7 @@ grep -q "errors 0" "$DIR/loadgen2.log"
 # carries the server.* metrics, now with percentile summaries.
 grep -q '"command":"stats"' "$DIR/stats.json"
 grep -q 'server.requests_accepted' "$DIR/stats.json"
-grep -q 'server.batch_size' "$DIR/stats.json"
+grep -q 'server.queue_wait_micros' "$DIR/stats.json"
 grep -q '"p50"' "$DIR/stats.json"
 if [ "$HAVE_PYTHON" -eq 1 ]; then
   python3 - "$DIR/stats.json" << 'EOF'
@@ -184,7 +184,7 @@ if [ "$HAVE_PYTHON" -eq 1 ]; then
       > "$DIR/trace.json"
   grep -q '"queue.wait"' "$DIR/trace.json"
   python3 "$TOOLS_DIR/tracecheck.py" --min-names 8 \
-      --require fine.worker --require batch.search "$DIR/trace.json"
+      --require fine.worker --require queue.wait "$DIR/trace.json"
 
   # Unknown paths 404 without killing the listener.
   python3 -c '

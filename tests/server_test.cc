@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -432,6 +433,34 @@ TEST(ServerTest, ShutdownDrainsInFlightRequests) {
   Result<std::unique_ptr<Client>> late =
       Client::Connect("127.0.0.1", server.port());
   EXPECT_FALSE(late.ok());
+}
+
+// VmSize of this process in KiB, from /proc/self/status (0 if absent).
+uint64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+// A finished connection handler must not keep its thread stack mapped
+// until Shutdown(): 200 short-lived connections, one after another,
+// stay well under one stack (8 MiB by default) per connection.
+TEST(ServerTest, ConnectionChurnDoesNotGrowAddressSpace) {
+  Fixture f = MakeFixture(/*num_queries=*/1);
+  PartitionedSearch engine(&f.collection, &f.index);
+  Server server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  MustConnect(server);  // warm up the accept path before the baseline
+  const uint64_t before = VmSizeKiB();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) MustConnect(server);
+  const uint64_t after = VmSizeKiB();
+  EXPECT_LT(after, before + 200 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after << " KiB";
+  server.Shutdown();
 }
 
 TEST(ServerTest, StartRejectsBadBindAddress) {

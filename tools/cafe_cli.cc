@@ -12,7 +12,7 @@
 //       [--top 10] [--candidates 100] [--band 48] [--mode diagonal|hitcount]
 //       [--both-strands] [--evalues] [--traceback]
 //       [--chain off|filter] [--min-chain N] [--seed-pattern P]
-//       [--index-mode memory|cached|mmap]   (--disk-index = cached)
+//       [--index-mode memory|mmap]
 //       [--threads N]   (default: one per hardware thread; 1 = sequential)
 //       [--stats[=json]] [--trace-out FILE]
 //   cafe_cli batch ...   (search over --query-file; same flags)
@@ -81,8 +81,7 @@ int Usage() {
       "           [--candidates N] [--band N] [--mode diagonal|hitcount]\n"
       "           [--both-strands] [--evalues] [--traceback]\n"
       "           [--chain off|filter] [--min-chain N] [--seed-pattern P]\n"
-      "           [--index-mode memory|cached|mmap]  (--disk-index = "
-      "cached)\n"
+      "           [--index-mode memory|mmap]\n"
       "           [--threads N]  (0 = one per hardware thread)\n"
       "           [--stats[=json]]  (per-query traces + metrics)\n"
       "           [--trace-out FILE]  (span timeline, Chrome trace JSON)\n"
@@ -339,8 +338,7 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   // the sequential reference path.
   int64_t threads_flag = flags.GetInt("threads", 0);
   bool evalues = flags.GetBool("evalues");
-  bool use_disk = flags.GetBool("disk-index");
-  std::string index_mode_flag = flags.GetString("index-mode", "");
+  std::string index_mode_flag = flags.GetString("index-mode", "memory");
   std::string mode = flags.GetString("mode", "diagonal");
   std::string trace_out = flags.GetString("trace-out", "");
   Result<std::string> stats_flag = ParseStatsMode(flags);
@@ -374,8 +372,7 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   Result<SequenceCollection> col = SequenceCollection::Load(col_path);
   if (!col.ok()) return col.status();
 
-  Result<IndexMode> resolved = ResolveIndexModeFlags(index_mode_flag,
-                                                     use_disk);
+  Result<IndexMode> resolved = ParseIndexMode(index_mode_flag);
   if (!resolved.ok()) return resolved.status();
   IndexMode index_mode = *resolved;
 

@@ -2,19 +2,17 @@
 //
 //   cafe_serve --collection db.col --index db.idx
 //       [--host 127.0.0.1] [--port 0] [--port-file FILE]
-//       [--workers N] [--queue N] [--batch N] [--search-threads N]
+//       [--workers N] [--queue N] [--search-threads N]
 //       [--chain off|filter] [--min-chain N]
-//       [--index-mode memory|cached|mmap]   (--disk-index = cached)
+//       [--index-mode memory|mmap]
 //       [--http-port N] [--http-port-file FILE]
 //       [--slow-ms N] [--flight-capacity N] [--slow-capacity N]
 //       [--span-sample-rate RATE] [--stats-interval SECONDS]
 //   cafe_serve --version
 //
-// --index-mode picks the index read path: memory (blob on heap),
-// cached (DiskIndex block cache — the reference oracle) or mmap
-// (zero-copy, lock-free, near-instant startup; the serving default
-// for indexes larger than RAM). --disk-index is a legacy alias for
-// cached.
+// --index-mode picks the index read path: memory (blob on heap) or
+// mmap (zero-copy, lock-free, near-instant startup; the serving default
+// for indexes larger than RAM).
 //
 // Speaks the length-prefixed binary protocol in src/server/protocol.h;
 // cafe_loadgen and the Client library are the reference peers. With
@@ -86,11 +84,9 @@ int Usage() {
       stderr,
       "usage: cafe_serve --collection FILE --index FILE\n"
       "           [--host ADDR] [--port N] [--port-file FILE]\n"
-      "           [--workers N] [--queue N] [--batch N]\n"
-      "           [--search-threads N]\n"
+      "           [--workers N] [--queue N] [--search-threads N]\n"
       "           [--chain off|filter] [--min-chain N]\n"
-      "           [--index-mode memory|cached|mmap]  (--disk-index = "
-      "cached)\n"
+      "           [--index-mode memory|mmap]\n"
       "           [--http-port N] [--http-port-file FILE]\n"
       "           [--slow-ms N] [--flight-capacity N] [--slow-capacity N]\n"
       "           [--span-sample-rate RATE] [--stats-interval SECONDS]\n"
@@ -209,8 +205,7 @@ Status Run(FlagParser& flags) {
   std::string idx_path = flags.GetString("index", "");
   std::string port_file = flags.GetString("port-file", "");
   std::string http_port_file = flags.GetString("http-port-file", "");
-  bool use_disk = flags.GetBool("disk-index");
-  std::string index_mode_flag = flags.GetString("index-mode", "");
+  std::string index_mode_flag = flags.GetString("index-mode", "memory");
   server::ServerOptions options;
   options.bind_address = flags.GetString("host", "127.0.0.1");
   options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
@@ -218,8 +213,6 @@ Status Run(FlagParser& flags) {
       static_cast<uint32_t>(flags.GetInt("workers", 2));
   options.dispatcher.max_queue =
       static_cast<uint32_t>(flags.GetInt("queue", 256));
-  options.dispatcher.max_batch =
-      static_cast<uint32_t>(flags.GetInt("batch", 8));
   options.dispatcher.search_threads =
       static_cast<uint32_t>(flags.GetInt("search-threads", 1));
   std::string chain_flag = flags.GetString("chain", "off");
@@ -246,8 +239,7 @@ Status Run(FlagParser& flags) {
 
   Result<SequenceCollection> col = SequenceCollection::Load(col_path);
   if (!col.ok()) return col.status();
-  Result<IndexMode> resolved = ResolveIndexModeFlags(index_mode_flag,
-                                                     use_disk);
+  Result<IndexMode> resolved = ParseIndexMode(index_mode_flag);
   if (!resolved.ok()) return resolved.status();
   IndexMode index_mode = *resolved;
   WallTimer open_timer;
@@ -264,7 +256,7 @@ Status Run(FlagParser& flags) {
   options.dispatcher.span_store = &span_store;
   server::Server server(&engine, options);
   obs::MetricsRegistry* metrics = server.metrics();
-  // Index read-path counters (disk_index.* / mmap_index.*) join the
+  // Index read-path counters (mmap_index.*) join the
   // server registry so they surface on /metrics and the stats verb.
   // Attach before Start: queries may be in flight afterwards.
   reader->AttachMetrics(metrics);
