@@ -94,11 +94,7 @@ int main(int argc, char** argv) {
                             "aligned/query", "top hit agrees"});
   double exhaustive_ms = 0.0;
   std::vector<eval::BatchResult> batches;
-  // One SearchTrace per engine, accumulated over the whole batch — the
-  // same observability layer behind `cafe_cli search --stats`.
-  std::vector<obs::SearchTrace> traces(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i].options.trace = &traces[i];
     batches.push_back(bench::Unwrap(
         eval::RunBatch(rows[i].engine, queries, rows[i].options),
         rows[i].label));
@@ -133,14 +129,15 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // Per-stage and funnel accounting from the traces: where each engine
-  // spends its time and how hard the coarse phase prunes.
+  // Per-stage and funnel accounting from each batch's merged trace (the
+  // record behind `cafe_cli search --stats`): where each engine spends
+  // its time and how hard the coarse phase prunes.
   std::printf("\nstage breakdown (per query, from SearchTrace):\n");
   eval::TablePrinter stages({"engine", "coarse us", "fine us", "post us",
                              "lists", "postings", "kept", "aligned"});
   const double nq = static_cast<double>(queries.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const obs::SearchTrace& t = traces[i];
+    const obs::SearchTrace& t = batches[i].aggregate;
     stages.AddRow(
         {rows[i].label, FormatDouble(t.coarse_micros / nq, 0),
          FormatDouble(t.fine_micros / nq, 0),

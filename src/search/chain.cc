@@ -9,6 +9,7 @@
 #include "index/seed_extract.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "util/timer.h"
 
 namespace cafe {
 namespace {
@@ -73,7 +74,7 @@ ChainOutcome ChainCandidates(std::string_view query,
     // A loaded index has validated options; unreachable in practice.
     return Passthrough(std::move(candidates), options.band);
   }
-  obs::TraceSpan span(trace != nullptr ? &trace->chain_micros : nullptr);
+  WallTimer timer;
   obs::Span chain_span(options.spans, "chain.filter");
 
   // Query term -> positions, with the index's own extraction plan (the
@@ -172,13 +173,12 @@ ChainOutcome ChainCandidates(std::string_view query,
   }
 
   const uint64_t dropped = candidates.size() - out.kept.size();
-  if (trace != nullptr) {
-    trace->chain_candidates_in += candidates.size();
-    trace->chain_anchors += total_anchors;
-    trace->chain_candidates_kept += out.kept.size();
-    trace->chain_candidates_dropped += dropped;
-  }
+  trace->chain_candidates_in += candidates.size();
+  trace->chain_anchors += total_anchors;
+  trace->chain_candidates_kept += out.kept.size();
+  trace->chain_candidates_dropped += dropped;
   internal::RecordChain(total_anchors, out.kept.size(), dropped);
+  trace->chain_micros += timer.Micros();
   return out;
 }
 

@@ -48,10 +48,10 @@ struct ChainOutcome {
 /// Runs the diagonal-filter + collinear-chaining stage. Passes every
 /// candidate through untouched (hints = options.band) when chaining is
 /// off, the index lacks positions, or there are no candidates; when
-/// active, records the chain.* funnel into `trace` (chain_micros,
-/// chain_candidates_in/anchors/kept/dropped) and the process-wide
-/// chain.* counters. Deterministic: depends only on (query, index,
-/// candidates, options), never on thread count.
+/// active, adds the chain.* funnel to `trace` (chain_micros,
+/// chain_candidates_in/anchors/kept/dropped; must be non-null) and the
+/// process-wide chain.* counters. Deterministic: depends only on
+/// (query, index, candidates, options), never on thread count.
 ChainOutcome ChainCandidates(std::string_view query,
                              std::vector<CoarseCandidate> candidates,
                              const PostingSource& index,

@@ -30,13 +30,11 @@ std::unordered_map<uint32_t, std::vector<uint32_t>> QueryTermPositions(
 
 // Counts the query-side stages of the funnel: interval occurrences,
 // distinct terms, and how many terms have a postings list at all (the
-// rest were stopped at build time or never occurred). Null trace = no
-// work beyond the check.
+// rest were stopped at build time or never occurred).
 void TraceQueryTerms(
     const PostingSource* index,
     const std::unordered_map<uint32_t, std::vector<uint32_t>>& terms,
     obs::SearchTrace* trace) {
-  if (trace == nullptr) return;
   trace->terms_distinct += terms.size();
   for (const auto& [term, qpositions] : terms) {
     trace->intervals_extracted += qpositions.size();
@@ -66,28 +64,25 @@ std::vector<CoarseCandidate> SelectTop(std::vector<CoarseCandidate> all,
 
 std::vector<CoarseCandidate> CoarseRanker::Rank(
     std::string_view query, CoarseRankMode mode, uint32_t limit,
-    uint32_t frame_width, SearchStats* stats, obs::SearchTrace* trace,
+    uint32_t frame_width, obs::SearchTrace* trace,
     obs::SpanRecorder* spans) const {
   WallTimer timer;
-  obs::TraceSpan span(trace != nullptr ? &trace->coarse_micros : nullptr);
   obs::Span rank_span(spans, "coarse.rank");
   std::vector<CoarseCandidate> out;
   if (mode == CoarseRankMode::kDiagonal &&
       index_->options().granularity == IndexGranularity::kPositional) {
-    out = RankDiagonal(query, limit, frame_width, stats, trace, spans);
+    out = RankDiagonal(query, limit, frame_width, trace, spans);
   } else {
-    out = RankHitCount(query, limit, stats, trace, spans);
+    out = RankHitCount(query, limit, trace, spans);
   }
-  if (trace != nullptr) {
-    trace->candidates_kept += out.size();
-  }
-  if (stats != nullptr) stats->coarse_seconds += timer.Seconds();
+  trace->candidates_kept += out.size();
+  trace->coarse_micros += timer.Micros();
   return out;
 }
 
 std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
-    std::string_view query, uint32_t limit, SearchStats* stats,
-    obs::SearchTrace* trace, obs::SpanRecorder* spans) const {
+    std::string_view query, uint32_t limit, obs::SearchTrace* trace,
+    obs::SpanRecorder* spans) const {
   auto terms = QueryTermPositions(query, index_->options());
   TraceQueryTerms(index_, terms, trace);
 
@@ -112,23 +107,15 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
   for (uint32_t doc : touched) {
     all.push_back(CoarseCandidate{doc, acc[doc], 0, false});
   }
-  if (stats != nullptr) {
-    stats->postings_decoded += postings;
-    stats->candidates_ranked += all.size();
-  }
-  if (trace != nullptr) {
-    trace->postings_decoded += postings;
-    trace->candidates_ranked += all.size();
-    trace->candidates_discarded +=
-        all.size() > limit ? all.size() - limit : 0;
-  }
+  trace->postings_decoded += postings;
+  trace->candidates_ranked += all.size();
+  trace->candidates_discarded += all.size() > limit ? all.size() - limit : 0;
   return SelectTop(std::move(all), limit);
 }
 
 std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
     std::string_view query, uint32_t limit, uint32_t frame_width,
-    SearchStats* stats, obs::SearchTrace* trace,
-    obs::SpanRecorder* spans) const {
+    obs::SearchTrace* trace, obs::SpanRecorder* spans) const {
   if (frame_width == 0) frame_width = 16;
   auto terms = QueryTermPositions(query, index_->options());
   TraceQueryTerms(index_, terms, trace);
@@ -185,16 +172,9 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
   std::vector<CoarseCandidate> all;
   all.reserve(best.size());
   for (auto& [doc, cand] : best) all.push_back(cand);
-  if (stats != nullptr) {
-    stats->postings_decoded += postings;
-    stats->candidates_ranked += all.size();
-  }
-  if (trace != nullptr) {
-    trace->postings_decoded += postings;
-    trace->candidates_ranked += all.size();
-    trace->candidates_discarded +=
-        all.size() > limit ? all.size() - limit : 0;
-  }
+  trace->postings_decoded += postings;
+  trace->candidates_ranked += all.size();
+  trace->candidates_discarded += all.size() > limit ? all.size() - limit : 0;
   return SelectTop(std::move(all), limit);
 }
 

@@ -1,4 +1,4 @@
-// Common search-engine interface, options, results and statistics.
+// Common search-engine interface, options and results.
 //
 // Every engine answers the same question — "which sequences in the
 // collection have a high-quality local alignment with this query?" — so
@@ -121,16 +121,6 @@ struct SearchOptions {
   /// setting — parallelism only changes wall time.
   uint32_t threads = 1;
 
-  /// Observability hook: when non-null, the engine accumulates the
-  /// per-stage pruning funnel and phase timings of every Search() call
-  /// into this trace (+=, never overwritten, so strand passes and
-  /// sequential batches compose). The pointer must stay valid for the
-  /// duration of the call and is written from the calling thread only;
-  /// BatchSearch gives each concurrent query a private trace and merges
-  /// them in input order, so counters stay deterministic at any thread
-  /// count. Null (the default) costs one branch per guarded site.
-  obs::SearchTrace* trace = nullptr;
-
   /// When non-null, the engine records named wall-clock spans (coarse
   /// scan, chaining, per-partition fine workers, merge, post) into this
   /// recorder — the per-request timeline behind /tracez and
@@ -180,25 +170,17 @@ struct SearchHit {
   LocalAlignment alignment;
 };
 
-struct SearchStats {
-  double coarse_seconds = 0.0;
-  double fine_seconds = 0.0;
-  double total_seconds = 0.0;
-  /// Sequences with non-zero coarse evidence.
-  uint64_t candidates_ranked = 0;
-  /// Sequences that received fine (DP) scoring.
-  uint64_t candidates_aligned = 0;
-  /// DP cells computed by the aligner.
-  uint64_t cells_computed = 0;
-  /// Postings entries decoded from the index.
-  uint64_t postings_decoded = 0;
-
-  void Accumulate(const SearchStats& other);
-};
+/// Deprecated spelling of the per-query accounting record, kept only
+/// for perfbench/src/traced_run.cc (which may change only together with
+/// the repository benchmark). Everything else uses obs::SearchTrace.
+using SearchStats = obs::SearchTrace;
 
 struct SearchResult {
   std::vector<SearchHit> hits;  // sorted by descending score
-  SearchStats stats;
+  /// The query's accounting record: pruning funnel and per-phase wall
+  /// clock, filled by every engine on every call (queries = 1, or 2
+  /// after SearchWithStrands with search_both_strands).
+  obs::SearchTrace trace;
   /// True when SearchOptions::deadline expired before the search
   /// finished: `hits` is a partial (possibly empty) answer.
   bool truncated = false;
@@ -228,26 +210,19 @@ class SearchEngine {
   /// options.threads > 1 and SupportsConcurrentSearch(), queries are
   /// evaluated concurrently, each internally sequential; otherwise the
   /// batch runs one query at a time, passing options.threads through so
-  /// engines with an internal parallel phase still use it. Fails with
-  /// the first (lowest-index) query error.
+  /// engines with an internal parallel phase still use it. Each result
+  /// carries its own query's trace, so per-query counters are identical
+  /// at every thread count. Fails with the first (lowest-index) query
+  /// error.
   Result<std::vector<SearchResult>> BatchSearch(
       const std::vector<std::string>& queries,
       const SearchOptions& options);
-
-  /// BatchSearch that also returns one SearchTrace per query (in input
-  /// order; `traces` is resized to queries.size()). Per-query traces are
-  /// recorded into private structs even when queries run concurrently,
-  /// then options.trace (if set) additionally receives their merge in
-  /// input order — so batch totals are identical at every thread count.
-  Result<std::vector<SearchResult>> BatchSearchTraced(
-      const std::vector<std::string>& queries, const SearchOptions& options,
-      std::vector<obs::SearchTrace>* traces);
 };
 
 /// Evaluates the query through `engine`, and — when
 /// options.search_both_strands is set — also its reverse complement,
 /// merging both strands' hits into one ranking of options.max_results.
-/// Statistics from both passes are accumulated.
+/// The result's trace is the two passes' traces merged.
 Result<SearchResult> SearchWithStrands(SearchEngine* engine,
                                        std::string_view query,
                                        const SearchOptions& options);

@@ -100,26 +100,24 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   }
 
   WallTimer total;
-  obs::SearchTrace* trace = options.trace;
-  obs::TraceSpan total_span(trace != nullptr ? &trace->total_micros
-                                             : nullptr);
   obs::SpanRecorder* spans = options.spans;
   obs::Span search_span(spans, "search");
-  if (trace != nullptr) ++trace->queries;
   SearchResult result;
+  obs::SearchTrace& trace = result.trace;
+  trace.queries = 1;
 
   // Deadline poll at entry: a request that spent its whole budget
   // queued (or on the forward strand) returns immediately.
   if (options.deadline != nullptr && options.deadline->Expired()) {
     result.truncated = true;
-    result.stats.total_seconds += total.Seconds();
+    trace.total_micros = total.Micros();
     return result;
   }
 
   // Coarse phase: rank by interval evidence, keep the fine-search budget.
   std::vector<CoarseCandidate> candidates = ranker_.Rank(
       query, options.coarse_mode, options.fine_candidates,
-      options.frame_width, &result.stats, trace, spans);
+      options.frame_width, &trace, spans);
 
   // Phase boundary: when the deadline fired during the coarse phase,
   // skip fine alignment entirely rather than starting work we cannot
@@ -136,7 +134,7 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   // pure pass-through when chaining is off or the index lacks
   // positions. Sequential and deterministic, like the coarse phase.
   ChainOutcome chained = ChainCandidates(query, std::move(candidates),
-                                         *index_, options, trace);
+                                         *index_, options, &trace);
   const std::vector<CoarseCandidate>& survivors = chained.kept;
 
   // Fine phase: local alignment on the candidates only. Each candidate
@@ -177,8 +175,8 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
       }
       obs::Span merge_span(spans, "fine.merge");
       result.hits = w.top.Take();
-      result.stats.candidates_aligned += w.aligned;
-      result.stats.cells_computed += w.aligner.cells_computed();
+      trace.candidates_aligned += w.aligned;
+      trace.cells_computed += w.aligner.cells_computed();
       result.truncated = result.truncated || w.truncated;
     } else {
       std::vector<FineWorker> states;
@@ -220,25 +218,21 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
       TopHits top(options.max_results);
       for (FineWorker& w : states) {
         for (SearchHit& hit : w.top.Take()) top.Add(std::move(hit));
-        result.stats.candidates_aligned += w.aligned;
-        result.stats.cells_computed += w.aligner.cells_computed();
+        trace.candidates_aligned += w.aligned;
+        trace.cells_computed += w.aligner.cells_computed();
         result.truncated = result.truncated || w.truncated;
       }
       result.hits = top.Take();
     }
   }
 
-  if (trace != nullptr) {
-    trace->fine_micros += fine.Micros();
-    trace->candidates_aligned += result.stats.candidates_aligned;
-  }
+  trace.fine_micros = fine.Micros();
 
   // Post-processing on the reported hits (at most max_results of them)
   // stays sequential: it is cheap, and keeping it single-threaded keeps
   // the output trivially deterministic. A truncated result skips it —
   // the contract after a deadline is "return what you have, fast".
-  obs::TraceSpan post_span(trace != nullptr ? &trace->post_micros
-                                            : nullptr);
+  WallTimer post;
   obs::Span post_process_span(spans, "post.process");
   Aligner post_aligner(options.scoring);
   std::string seq;
@@ -286,17 +280,14 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
     }
   }
 
-  result.stats.cells_computed += post_aligner.cells_computed();
-  result.stats.fine_seconds += fine.Seconds();
-  result.stats.total_seconds += total.Seconds();
-  if (trace != nullptr) {
-    trace->cells_computed += result.stats.cells_computed;
-    trace->hits_reported += result.hits.size();
-  }
+  trace.cells_computed += post_aligner.cells_computed();
+  trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),
                        *options.statistics);
   }
+  trace.post_micros = post.Micros();
+  trace.total_micros = total.Micros();
   return result;
 }
 

@@ -57,7 +57,6 @@ Result<SearchResult> Dispatcher::Execute(const SearchRequest& request,
     pending->deadline = Deadline::AfterMillis(request.deadline_millis);
     pending->options.deadline = &pending->deadline;
   }
-  pending->options.trace = &pending->trace;
   pending->key = request.OptionsKey();
   pending->trace_id = request.trace_id;
 
@@ -206,7 +205,7 @@ void Dispatcher::RecordFlight(const Pending& p) {
   record.options_key = HexFingerprint(p.key);
   record.queue_micros = p.queue_micros;
   record.total_micros = static_cast<uint64_t>(p.admitted.Micros());
-  record.trace = p.trace;
+  record.trace = p.result.trace;  // empty for a failed request
   record.hits = static_cast<uint32_t>(p.result.hits.size());
   record.status_code = StatusCodeToWire(p.status);
   record.truncated = p.result.truncated;

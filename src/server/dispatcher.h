@@ -3,8 +3,7 @@
 //
 // Connection handlers block in Execute(); a small pool of dispatcher
 // workers drains the shared queue one request at a time, each through
-// SearchWithStrands with the request's own deadline, trace and span
-// recorder.
+// SearchWithStrands with the request's own deadline and span recorder.
 //
 // Admission control is a hard bound on queue depth: when the queue is
 // full (or the dispatcher is stopping) Execute returns
@@ -60,7 +59,8 @@ struct DispatcherOptions {
   /// When non-null, every completed request — including queue-expired
   /// and failed ones — leaves one FlightRecord here: trace id, options
   /// fingerprint, queue wait, end-to-end time, and the per-request
-  /// pruning funnel.
+  /// pruning funnel (the result's trace; empty when the search failed
+  /// or the request expired in the queue).
   obs::FlightRecorder* flight = nullptr;
   /// Fraction of admitted requests ([0,1]) that record a span timeline
   /// (obs::SpanSampler decides per trace id). 0 — the default — turns
@@ -109,13 +109,12 @@ class Dispatcher {
   // worker's plain writes before the waiter's reads).
   struct Pending {
     std::string query;
-    SearchOptions options;  // points at deadline, trace and spans below
+    SearchOptions options;  // points at deadline and spans below
     Deadline deadline;
     std::string key;        // OptionsKey(): the flight fingerprint
     uint64_t trace_id = 0;  // wire trace id, 0 when the caller sent none
     WallTimer admitted;     // queue-wait + end-to-end latency clock
     uint64_t queue_micros = 0;    // stamped when a worker dequeues it
-    obs::SearchTrace trace;       // this request's pruning funnel
     bool deadline_expired = false;  // budget spent before dispatch
     // Span timeline of a sampled request (null otherwise). The
     // recorder rides the same ownership protocol as the other fields:

@@ -45,6 +45,10 @@ printf '>probe\n%s\n' "$QUERY" > "$DIR/q.fa"
 "$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \
     --query-file "$DIR/q.fa" --top 1 --traceback > "$DIR/log" 2>&1
 grep -q "identity 100%" "$DIR/log"
+# The per-query line splits the time the way --stats=json does: post
+# (traceback) is its own phase, never folded into fine.
+grep -q "^query probe .*(coarse [0-9.]*, chain [0-9.]*, fine [0-9.]*, post [0-9.]*)" \
+    "$DIR/log"
 
 # Observability: --stats appends the trace funnel; --stats=json makes
 # stdout a single JSON document (validated when python3 is available).

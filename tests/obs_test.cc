@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/harness.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "search/partitioned.h"
@@ -129,15 +130,6 @@ TEST(TimerTest, RecordsOnDestruction) {
   EXPECT_EQ(h.Snap().count, 1u);
 }
 
-TEST(TraceSpanTest, AccumulatesMicros) {
-  double sink = 0.0;
-  { obs::TraceSpan span(&sink); }
-  EXPECT_GE(sink, 0.0);
-  double before = sink;
-  { obs::TraceSpan span(nullptr); }  // detached: must be a no-op
-  EXPECT_EQ(sink, before);
-}
-
 TEST(SearchTraceTest, MergeIsFieldwise) {
   obs::SearchTrace a, b;
   a.queries = 1;
@@ -169,8 +161,8 @@ TEST(SearchTraceTest, CountersJsonExcludesTimings) {
 
 // ---------------------------------------------------------------------
 // Determinism: the SearchTrace counters must be byte-identical at every
-// thread count — the per-worker sums commute and BatchSearchTraced
-// merges per-query slots in input order.
+// thread count — the per-worker sums commute, and each query's trace
+// rides on its own SearchResult.
 
 struct Fixture {
   SequenceCollection collection;
@@ -219,15 +211,14 @@ TEST(SearchTraceTest, CountersIdenticalAcrossThreadCounts) {
     SearchOptions options;
     options.fine_candidates = 20;
     options.threads = threads;
-    std::vector<obs::SearchTrace> traces;
     Result<std::vector<SearchResult>> batch =
-        engine.BatchSearchTraced(queries, options, &traces);
+        engine.BatchSearch(queries, options);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(traces.size(), queries.size());
+    ASSERT_EQ(batch->size(), queries.size());
     std::vector<std::string> jsons;
-    for (const obs::SearchTrace& t : traces) {
-      EXPECT_EQ(t.queries, 1u);
-      jsons.push_back(t.CountersJson());
+    for (const SearchResult& r : *batch) {
+      EXPECT_EQ(r.trace.queries, 1u);
+      jsons.push_back(r.trace.CountersJson());
     }
     if (reference.empty()) {
       reference = std::move(jsons);
@@ -243,19 +234,27 @@ TEST(SearchTraceTest, CallerTraceIsMergeOfPerQuerySlots) {
   std::vector<std::string> queries;
   for (const sim::PlantedQuery& q : f.queries) queries.push_back(q.sequence);
 
-  SearchOptions options;
-  options.fine_candidates = 20;
-  std::vector<obs::SearchTrace> traces;
-  obs::SearchTrace total;
-  options.trace = &total;
-  Result<std::vector<SearchResult>> batch =
-      engine.BatchSearchTraced(queries, options, &traces);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-
-  obs::SearchTrace merged;
-  for (const obs::SearchTrace& t : traces) merged.Merge(t);
-  EXPECT_EQ(total.CountersJson(), merged.CountersJson());
-  EXPECT_EQ(total.queries, queries.size());
+  // The batch total (eval::RunBatch's aggregate) is the input-order
+  // merge of the per-result traces, and equal at 1 and 4 threads.
+  std::string reference;
+  for (uint32_t threads : {1u, 4u}) {
+    SearchOptions options;
+    options.fine_candidates = 20;
+    options.threads = threads;
+    Result<eval::BatchResult> batch =
+        eval::RunBatch(&engine, queries, options);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    obs::SearchTrace merged;
+    for (const SearchResult& r : batch->results) merged.Merge(r.trace);
+    EXPECT_EQ(batch->aggregate.CountersJson(), merged.CountersJson());
+    EXPECT_EQ(batch->aggregate.queries, queries.size());
+    if (reference.empty()) {
+      reference = merged.CountersJson();
+    } else {
+      EXPECT_EQ(merged.CountersJson(), reference)
+          << "batch total depends on --threads";
+    }
+  }
 }
 
 TEST(SearchTraceTest, TraceMatchesResultStats) {
@@ -263,13 +262,17 @@ TEST(SearchTraceTest, TraceMatchesResultStats) {
   PartitionedSearch engine(&f.collection, &f.index);
   SearchOptions options;
   options.fine_candidates = 20;
-  obs::SearchTrace trace;
-  options.trace = &trace;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(trace.candidates_aligned, r->stats.candidates_aligned);
-  EXPECT_EQ(trace.cells_computed, r->stats.cells_computed);
+  const obs::SearchTrace& trace = r->trace;
+  EXPECT_EQ(trace.queries, 1u);
   EXPECT_EQ(trace.hits_reported, r->hits.size());
+  EXPECT_LE(trace.candidates_aligned, trace.candidates_kept);
+  // Each phase is timed once, by disjoint timers inside the total (1 us
+  // of slack for the double conversions).
+  EXPECT_LE(trace.coarse_micros + trace.chain_micros + trace.fine_micros +
+                trace.post_micros,
+            trace.total_micros + 1.0);
   EXPECT_EQ(trace.candidates_kept,
             trace.candidates_ranked - trace.candidates_discarded);
   EXPECT_GT(trace.intervals_extracted, 0u);

@@ -120,11 +120,11 @@ TEST(PartitionedSearchTest, StatsPopulated) {
   options.fine_candidates = 15;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->stats.postings_decoded, 0u);
-  EXPECT_GT(r->stats.candidates_ranked, 0u);
-  EXPECT_LE(r->stats.candidates_aligned, 15u);
-  EXPECT_GT(r->stats.cells_computed, 0u);
-  EXPECT_GE(r->stats.total_seconds, 0.0);
+  EXPECT_GT(r->trace.postings_decoded, 0u);
+  EXPECT_GT(r->trace.candidates_ranked, 0u);
+  EXPECT_LE(r->trace.candidates_aligned, 15u);
+  EXPECT_GT(r->trace.cells_computed, 0u);
+  EXPECT_GE(r->trace.total_micros, 0.0);
 }
 
 TEST(PartitionedSearchTest, FineCandidateBudgetRespected) {
@@ -134,7 +134,7 @@ TEST(PartitionedSearchTest, FineCandidateBudgetRespected) {
   options.fine_candidates = 3;
   Result<SearchResult> r = engine.Search(f.queries[0].sequence, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_LE(r->stats.candidates_aligned, 3u);
+  EXPECT_LE(r->trace.candidates_aligned, 3u);
   EXPECT_LE(r->hits.size(), options.max_results);
 }
 
@@ -239,7 +239,7 @@ TEST(PartitionedSearchTest, ExpiredDeadlineReturnsTruncatedFast) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->truncated);
   EXPECT_TRUE(r->hits.empty());
-  EXPECT_EQ(r->stats.candidates_aligned, 0u);
+  EXPECT_EQ(r->trace.candidates_aligned, 0u);
 }
 
 TEST(PartitionedSearchTest, InfiniteDeadlineDoesNotTruncate) {

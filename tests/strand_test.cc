@@ -94,18 +94,31 @@ TEST(StrandTest, WorksWithExhaustiveEngine) {
   EXPECT_TRUE(Contains(r->hits, f.reverse_id, Strand::kReverse));
 }
 
-TEST(StrandTest, StatsAccumulateAcrossStrands) {
+// The both-strand trace is exactly the forward pass's trace merged with
+// the reverse-complement pass's: two queries, every counter summed.
+TEST(StrandTest, BothStrandTraceIsMergeOfTheTwoPasses) {
   Fixture f = MakeFixture();
-  PartitionedSearch engine(&f.collection, &f.index);
-  SearchOptions options;
-  options.search_both_strands = false;
-  Result<SearchResult> single = SearchWithStrands(&engine, f.query, options);
-  options.search_both_strands = true;
-  Result<SearchResult> both = SearchWithStrands(&engine, f.query, options);
-  ASSERT_TRUE(single.ok() && both.ok());
-  EXPECT_GT(both->stats.postings_decoded, single->stats.postings_decoded);
-  EXPECT_GT(both->stats.candidates_aligned,
-            single->stats.candidates_aligned);
+  PartitionedSearch partitioned(&f.collection, &f.index);
+  ExhaustiveSearch exhaustive(&f.collection);
+  for (SearchEngine* engine :
+       std::vector<SearchEngine*>{&partitioned, &exhaustive}) {
+    SCOPED_TRACE(engine->name());
+    SearchOptions options;
+    options.search_both_strands = false;
+    Result<SearchResult> forward = SearchWithStrands(engine, f.query, options);
+    Result<SearchResult> reverse =
+        SearchWithStrands(engine, ReverseComplement(f.query), options);
+    options.search_both_strands = true;
+    Result<SearchResult> both = SearchWithStrands(engine, f.query, options);
+    ASSERT_TRUE(forward.ok() && reverse.ok() && both.ok());
+
+    EXPECT_EQ(both->trace.queries, 2u);
+    EXPECT_GT(both->trace.candidates_aligned,
+              forward->trace.candidates_aligned);
+    obs::SearchTrace expected = forward->trace;
+    expected.Merge(reverse->trace);
+    EXPECT_EQ(both->trace.CountersJson(), expected.CountersJson());
+  }
 }
 
 TEST(StrandTest, MaxResultsRespectedAfterMerge) {

@@ -426,9 +426,8 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   std::vector<std::string> query_seqs;
   query_seqs.reserve(queries.size());
   for (const auto& [name, q] : queries) query_seqs.push_back(q);
-  std::vector<obs::SearchTrace> traces;
-  Result<std::vector<SearchResult>> batch = engine.BatchSearchTraced(
-      query_seqs, options, stats_mode.empty() ? nullptr : &traces);
+  Result<std::vector<SearchResult>> batch =
+      engine.BatchSearch(query_seqs, options);
   if (!batch.ok()) return batch.status();
 
   if (spans != nullptr) {
@@ -462,13 +461,13 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
       std::snprintf(buf, sizeof(buf), ",\"bases\":%zu,", q.size());
       out += buf;
       out += "\"hits\":[";
-      const std::vector<SearchHit>& hits = (*batch)[qi].hits;
-      for (size_t i = 0; i < hits.size(); ++i) {
+      const SearchResult& result = (*batch)[qi];
+      for (size_t i = 0; i < result.hits.size(); ++i) {
         if (i > 0) out += ",";
-        out += HitJson(*col, hits[i], evalues);
+        out += HitJson(*col, result.hits[i], evalues);
       }
-      out += "],\"trace\":" + traces[qi].ToJson() + "}";
-      total.Merge(traces[qi]);
+      out += "],\"trace\":" + result.trace.ToJson() + "}";
+      total.Merge(result.trace);
     }
     out += "],\"trace_total\":" + total.ToJson();
     out += ",\"metrics\":" + registry.SnapshotJson() + "}";
@@ -479,12 +478,13 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto& [name, q] = queries[qi];
     const SearchResult* result = &(*batch)[qi];
+    const obs::SearchTrace& t = result->trace;
     std::printf("query %s (%zu bases): %zu hits in %.1f ms "
-                "(coarse %.1f, fine %.1f)\n",
+                "(coarse %.1f, chain %.1f, fine %.1f, post %.1f)\n",
                 name.c_str(), q.size(), result->hits.size(),
-                result->stats.total_seconds * 1e3,
-                result->stats.coarse_seconds * 1e3,
-                result->stats.fine_seconds * 1e3);
+                t.total_micros / 1e3, t.coarse_micros / 1e3,
+                t.chain_micros / 1e3, t.fine_micros / 1e3,
+                t.post_micros / 1e3);
     std::vector<std::string> headers = {"#", "sequence", "score", "coarse",
                                         "strand"};
     if (evalues) {
@@ -520,7 +520,7 @@ Status CmdSearch(FlagParser& flags, bool batch_mode) {
       }
     }
     if (stats_mode == "text") {
-      std::printf("%s", traces[qi].ToText().c_str());
+      std::printf("%s", t.ToText().c_str());
     }
     std::printf("\n");
   }
