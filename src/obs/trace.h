@@ -54,7 +54,8 @@ struct SearchTrace {
   uint64_t candidates_aligned = 0;
   /// DP cells computed (banded + full, including rescore/traceback).
   uint64_t cells_computed = 0;
-  /// Hits reported to the caller.
+  /// Hits reported to the caller — after the strand merge, so with both
+  /// strands it is not the sum of the two passes.
   uint64_t hits_reported = 0;
 
   // --- Per-phase wall clock (microseconds; NOT deterministic) --------

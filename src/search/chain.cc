@@ -77,13 +77,8 @@ ChainOutcome ChainCandidates(std::string_view query,
   WallTimer timer;
   obs::Span chain_span(options.spans, "chain.filter");
 
-  // Query term -> positions, with the index's own extraction plan (the
-  // query side always extracts at stride 1, like the coarse phase).
-  std::unordered_map<uint32_t, std::vector<uint32_t>> terms;
-  extractor->ForEach(query, /*stride=*/1,
-                     [&](uint32_t pos, uint32_t term) {
-                       terms[term].push_back(pos);
-                     });
+  // Query term -> positions, extracted exactly as the coarse phase does.
+  const auto terms = QueryTermPositions(query, iopt);
 
   // Anchor gathering, restricted to the coarse candidate set: one more
   // pass over the query's postings lists, but only (doc, pos) pairs of

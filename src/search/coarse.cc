@@ -12,37 +12,16 @@
 namespace cafe {
 namespace {
 
-// Groups the query's interval occurrences by term so each postings list
-// is decoded exactly once. Extraction follows the index's own plan
-// (contiguous intervals or its spaced-seed pattern) at stride 1.
-std::unordered_map<uint32_t, std::vector<uint32_t>> QueryTermPositions(
-    std::string_view query, const IndexOptions& options) {
-  std::unordered_map<uint32_t, std::vector<uint32_t>> terms;
-  Result<SeedExtractor> extractor = SeedExtractor::Create(
-      options.interval_length, options.spaced_seed);
-  if (!extractor.ok()) return terms;  // validated at build/load time
-  extractor->ForEach(query, /*stride=*/1,
-                     [&](uint32_t pos, uint32_t term) {
-                       terms[term].push_back(pos);
-                     });
-  return terms;
-}
-
-// Counts the query-side stages of the funnel: interval occurrences,
-// distinct terms, and how many terms have a postings list at all (the
-// rest were stopped at build time or never occurred).
-void TraceQueryTerms(
-    const PostingSource* index,
-    const std::unordered_map<uint32_t, std::vector<uint32_t>>& terms,
-    obs::SearchTrace* trace) {
-  trace->terms_distinct += terms.size();
-  for (const auto& [term, qpositions] : terms) {
-    trace->intervals_extracted += qpositions.size();
-    if (index->FindTerm(term) == nullptr) {
-      ++trace->terms_unindexed;
-    } else {
-      ++trace->postings_lists_touched;
-    }
+// Counts one query term into the funnel: its interval occurrences, and
+// whether it has a postings list. Every directory entry carries at
+// least one posting, so a scan that delivered none means the term has
+// no list (stopped at build time, or it never occurred).
+void TraceTerm(size_t occurrences, bool delivered, obs::SearchTrace* trace) {
+  trace->intervals_extracted += occurrences;
+  if (delivered) {
+    ++trace->postings_lists_touched;
+  } else {
+    ++trace->terms_unindexed;
   }
 }
 
@@ -61,6 +40,19 @@ std::vector<CoarseCandidate> SelectTop(std::vector<CoarseCandidate> all,
 }
 
 }  // namespace
+
+std::unordered_map<uint32_t, std::vector<uint32_t>> QueryTermPositions(
+    std::string_view query, const IndexOptions& options) {
+  std::unordered_map<uint32_t, std::vector<uint32_t>> terms;
+  Result<SeedExtractor> extractor = SeedExtractor::Create(
+      options.interval_length, options.spaced_seed);
+  if (!extractor.ok()) return terms;  // validated at build/load time
+  extractor->ForEach(query, /*stride=*/1,
+                     [&](uint32_t pos, uint32_t term) {
+                       terms[term].push_back(pos);
+                     });
+  return terms;
+}
 
 std::vector<CoarseCandidate> CoarseRanker::Rank(
     std::string_view query, CoarseRankMode mode, uint32_t limit,
@@ -84,7 +76,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
     std::string_view query, uint32_t limit, obs::SearchTrace* trace,
     obs::SpanRecorder* spans) const {
   auto terms = QueryTermPositions(query, index_->options());
-  TraceQueryTerms(index_, terms, trace);
+  trace->terms_distinct += terms.size();
 
   std::vector<double> acc(index_->num_docs(), 0.0);
   std::vector<uint32_t> touched;
@@ -93,12 +85,14 @@ std::vector<CoarseCandidate> CoarseRanker::RankHitCount(
     obs::Span postings_span(spans, "index.postings");
     for (const auto& [term, qpositions] : terms) {
       const auto qtf = static_cast<uint32_t>(qpositions.size());
+      const uint64_t before = postings;
       index_->ScanPostings(
           term, [&](uint32_t doc, uint32_t tf, const uint32_t*, uint32_t) {
             if (acc[doc] == 0.0) touched.push_back(doc);
             acc[doc] += std::min(qtf, tf);
             ++postings;
           });
+      TraceTerm(qpositions.size(), postings > before, trace);
     }
   }
 
@@ -118,7 +112,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
     obs::SearchTrace* trace, obs::SpanRecorder* spans) const {
   if (frame_width == 0) frame_width = 16;
   auto terms = QueryTermPositions(query, index_->options());
-  TraceQueryTerms(index_, terms, trace);
+  trace->terms_distinct += terms.size();
   const int64_t qlen = static_cast<int64_t>(query.size());
 
   // (doc, frame) -> number of interval hits whose diagonal falls in the
@@ -129,6 +123,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
   {
     obs::Span postings_span(spans, "index.postings");
     for (const auto& [term, qpositions] : terms) {
+      const uint64_t before = postings;
       index_->ScanPostings(
           term, [&](uint32_t doc, uint32_t tf, const uint32_t* positions,
                     uint32_t npos) {
@@ -144,6 +139,7 @@ std::vector<CoarseCandidate> CoarseRanker::RankDiagonal(
               }
             }
           });
+      TraceTerm(qpositions.size(), postings > before, trace);
     }
   }
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "index/posting_source.h"
@@ -25,6 +26,14 @@ struct CoarseCandidate {
   int64_t diagonal = 0;
   bool has_diagonal = false;
 };
+
+/// The query's interval occurrences grouped by term (term -> query
+/// positions), so each postings list is decoded once per pass.
+/// Extraction follows the index's own plan (contiguous intervals or its
+/// spaced-seed pattern) at stride 1. Empty when `options` holds no
+/// valid plan, which a built or loaded index never does.
+std::unordered_map<uint32_t, std::vector<uint32_t>> QueryTermPositions(
+    std::string_view query, const IndexOptions& options);
 
 class CoarseRanker {
  public:

@@ -141,8 +141,11 @@ Result<SearchResult> SearchWithStrands(SearchEngine* engine,
     top.Add(std::move(hit));
   }
   merged.hits = top.Take();
+  // Every stage sums over the two passes except the last: the funnel
+  // ends at the hits actually returned after the merge.
   merged.trace = forward->trace;
   merged.trace.Merge(reverse->trace);
+  merged.trace.hits_reported = merged.hits.size();
   merged.truncated = forward->truncated || reverse->truncated;
   return merged;
 }

@@ -6,17 +6,11 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 namespace cafe::server {
 namespace {
-
-Status Errno(const char* what) {
-  return Status::IOError(std::string(what) + ": " + std::strerror(errno));
-}
 
 uint64_t SplitMix64(uint64_t z) {
   z += 0x9E3779B97F4A7C15ull;

@@ -5,23 +5,20 @@
 // TLS, request line + headers capped at a few KiB, every response ends
 // with Connection: close. It exists so an operator (or a Prometheus
 // scraper) can look inside a running cafe_serve with curl — the query
-// protocol stays on its own binary port. Threading mirrors Server: one
-// accept thread, one short-lived thread per connection; handlers run on
-// the connection thread and must be thread-safe.
+// protocol stays on its own binary port. An HttpServer is a Listener
+// (server/listener.h, which owns the sockets and the threading model)
+// plus this request parser; handlers run on the connection thread and
+// must be thread-safe.
 
 #ifndef CAFE_SERVER_HTTP_H_
 #define CAFE_SERVER_HTTP_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "util/mutex.h"
+#include "server/listener.h"
 #include "util/status.h"
 
 namespace cafe::server {
@@ -54,51 +51,26 @@ using HttpHandler = std::function<HttpResponse(const std::string& path,
 class HttpServer {
  public:
   HttpServer(HttpHandler handler, const HttpOptions& options);
-  ~HttpServer();  // calls Shutdown()
+  ~HttpServer() { Shutdown(); }
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds, listens, and starts accepting.
-  [[nodiscard]] Status Start();
+  [[nodiscard]] Status Start() { return listener_.Start(); }
 
   /// The actually bound port (resolves port 0) — valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
-  /// Stops accepting, closes every live connection, joins the threads.
-  /// Idempotent.
-  void Shutdown();
+  /// Stops accepting, half-closes every live connection (a reply being
+  /// written is finished), joins the threads. Idempotent.
+  void Shutdown() { listener_.Shutdown(); }
 
  private:
-  void AcceptLoop();
   void HandleConnection(int fd);
-  /// Removes the handler threads that have finished from
-  /// conn_threads_ and returns them for joining outside the lock.
-  std::list<std::thread> TakeFinishedConns() CAFE_REQUIRES(conn_mu_);
 
   const HttpHandler handler_;
-  const HttpOptions options_;
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-
-  Mutex conn_mu_;
-  std::set<int> conn_fds_ CAFE_GUARDED_BY(conn_mu_);
-  // One thread per connection, appended by the accept loop. A handler
-  // about to exit files its own node in finished_conns_; the accept
-  // loop joins those before it spawns the next handler, so finished
-  // handlers do not keep their stacks mapped. Shutdown() joins the rest.
-  std::list<std::thread> conn_threads_ CAFE_GUARDED_BY(conn_mu_);
-  std::vector<std::list<std::thread>::iterator> finished_conns_
-      CAFE_GUARDED_BY(conn_mu_);
-  bool stopping_ CAFE_GUARDED_BY(conn_mu_) = false;
-  // Written by Start()/Shutdown() only; those two are externally
-  // serialized (Start from the owner, Shutdown under shutdown_mu_).
-  bool started_ = false;
-  // Serializes Shutdown() callers. Lock order: shutdown_mu_ before
-  // conn_mu_ — never the reverse.
-  Mutex shutdown_mu_ CAFE_ACQUIRED_BEFORE(conn_mu_);
+  Listener listener_;
 
   obs::Counter* requests_ = nullptr;
 };

@@ -118,22 +118,7 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-// --- EINTR-safe socket I/O -----------------------------------------
-// send() with MSG_NOSIGNAL so a peer that hung up yields EPIPE -> Status
-// instead of killing the process with SIGPIPE.
-
-Status SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
+// --- EINTR-safe socket reads ---------------------------------------
 
 /// Reads exactly `size` bytes. `*eof_ok` in: whether a clean EOF before
 /// the first byte is acceptable; out: whether that clean EOF happened.
@@ -143,7 +128,7 @@ Status RecvAll(int fd, char* data, size_t size, bool* eof_ok) {
     ssize_t n = recv(fd, data + got, size - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IOError(std::string("recv: ") + std::strerror(errno));
+      return Errno("recv");
     }
     if (n == 0) {
       if (got == 0 && eof_ok != nullptr && *eof_ok) return Status::OK();
@@ -344,6 +329,24 @@ Status StatusFromWire(uint8_t code, std::string message) {
                           std::to_string(code) + ": " + message);
 }
 
+Status Errno(const char* what) {
+  return Status::IOError(std::string(what) + ": " + std::strerror(errno));
+}
+
+Status SendAll(int fd, std::string_view data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    ssize_t n =
+        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("send");
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
 Status WriteFrame(int fd, FrameType type, std::string_view payload,
                   uint16_t version) {
   if (payload.size() > kMaxPayloadBytes) {
@@ -357,7 +360,7 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload,
   PutU32(&frame, static_cast<uint32_t>(payload.size()));
   PutU32(&frame, Crc32(payload.data(), payload.size()));
   frame.append(payload.data(), payload.size());
-  return SendAll(fd, frame.data(), frame.size());
+  return SendAll(fd, frame);
 }
 
 Status ReadFrame(int fd, FrameType* type, std::string* payload) {

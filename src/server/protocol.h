@@ -136,7 +136,16 @@ std::string EncodeSearchResponse(const SearchResponse& response);
 uint8_t StatusCodeToWire(const Status& status);
 Status StatusFromWire(uint8_t code, std::string message);
 
-// --- Framed socket I/O (blocking, EINTR-safe) -----------------------
+// --- Socket I/O (blocking, EINTR-safe) -----------------------------
+
+/// IOError "<what>: <strerror(errno)>" — for a failed socket call.
+Status Errno(const char* what);
+
+/// Writes all of `data` to the socket `fd` with send(…, MSG_NOSIGNAL),
+/// so a peer that hung up yields an IOError (EPIPE) instead of killing
+/// the process with SIGPIPE. Every server-side socket write goes
+/// through here (lint_cafe's cafe-socket-nosignal rule).
+[[nodiscard]] Status SendAll(int fd, std::string_view data);
 
 /// Writes one complete frame to `fd`. `version` stamps the header —
 /// callers other than compatibility tests leave the default.

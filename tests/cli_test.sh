@@ -68,6 +68,18 @@ if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "$DIR/stats.json" > /dev/null
 fi
 
+# With both strands the funnel ends at the hits returned after the
+# merge (at most --top), not at the sum of the two passes' hits.
+"$CLI" search --collection "$DIR/db.col" --index "$DIR/db.idx" \
+    --query "$QUERY" --top 3 --both-strands --stats=json \
+    > "$DIR/both.json"
+grep -q '"queries":2,' "$DIR/both.json"
+grep -q '"hits_reported":3[,}]' "$DIR/both.json"
+if grep -q '"hits_reported":[4-9][,}]' "$DIR/both.json"; then
+  echo "both-strand hits_reported exceeds --top 3" >&2
+  exit 1
+fi
+
 "$CLI" build --fasta "$DIR/db.fa" --collection "$DIR/db3.col" \
     --index "$DIR/db3.idx" --stats=json > "$DIR/build.json"
 grep -q 'index_build.builds' "$DIR/build.json"

@@ -10,16 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 
 namespace cafe::server {
 namespace {
 
-// One raw HTTP exchange: connect, send `request` verbatim, read to EOF.
-std::string Exchange(uint16_t port, const std::string& request) {
+// A client socket connected to 127.0.0.1:`port`.
+int ConnectTo(uint16_t port) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -29,6 +32,12 @@ std::string Exchange(uint16_t port, const std::string& request) {
   EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0)
       << std::strerror(errno);
+  return fd;
+}
+
+// One raw HTTP exchange: connect, send `request` verbatim, read to EOF.
+std::string Exchange(uint16_t port, const std::string& request) {
+  int fd = ConnectTo(port);
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = write(fd, request.data() + sent, request.size() - sent);
@@ -162,6 +171,42 @@ TEST_F(HttpServerTest, ShutdownIsIdempotentAndRestartable) {
   std::string response =
       Exchange(server_->port(), "GET /hello HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
+}
+
+// A client that hangs up before a large reply is written must cost
+// that reply only: the server's writes fail with EPIPE rather than
+// raising SIGPIPE, which would kill this whole process, server and test
+// alike.
+TEST(HttpServerHangUpTest, PeerHangUpDuringLargeReplyKeepsServing) {
+  std::atomic<bool> client_closed{false};
+  HttpServer server(
+      [&](const std::string& path, const std::string&) {
+        HttpResponse response;
+        if (path == "/big") {
+          while (!client_closed.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          response.body.assign(size_t{4} << 20, 'x');
+        } else {
+          response.body = "still here\n";
+        }
+        return response;
+      },
+      HttpOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ConnectTo(server.port());
+  const std::string request = "GET /big HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  close(fd);
+  client_closed.store(true);
+
+  std::string response =
+      Exchange(server.port(), "GET /hello HTTP/1.0\r\n\r\n");
+  EXPECT_NE(response.find("\r\n\r\nstill here\n"), std::string::npos)
+      << response;
+  server.Shutdown();  // joins the /big handler: its reply has ended
 }
 
 // VmSize of this process in KiB, from /proc/self/status (0 if absent).

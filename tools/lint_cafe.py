@@ -33,6 +33,10 @@ Checks that clang-tidy / compiler warnings cannot express:
                   carries thread safety annotations and is checked by
                   clang -Wthread-safety (same confinement pattern as
                   std::thread -> ThreadPool)
+  socket-nosignal no write() call in src/server/, and no send() call
+                  there without MSG_NOSIGNAL — a socket write to a peer
+                  that hung up must fail with EPIPE, not raise SIGPIPE
+                  and kill the daemon (use SendAll, server/protocol.h)
 
 Files under tools/ are binaries, not library code; only the fprintf
 rule applies there, and only to cafe_serve.cc (the long-running
@@ -60,6 +64,7 @@ RULE_CHRONO = "cafe-no-adhoc-chrono"
 RULE_SOCKET = "cafe-no-raw-socket"
 RULE_FPRINTF = "cafe-no-raw-fprintf"
 RULE_MUTEX = "cafe-no-raw-mutex"
+RULE_NOSIGNAL = "cafe-socket-nosignal"
 
 THROW_RE = re.compile(r"\bthrow\b")
 # `new X`, `new (nothrow) X`, `new X[...]`; `delete p`, `delete[] p`.
@@ -76,6 +81,11 @@ MUTEX_RE = re.compile(
     r"\bstd::(?:(?:timed_|recursive_|recursive_timed_|shared_|"
     r"shared_timed_)?mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock|condition_variable(?:_any)?)\b")
+# write(...) / ::write(...) and send(...) / ::send(...) calls; member
+# calls (out.write, p->send) and longer names (WriteFrame, SendAll,
+# sendto) do not match.
+WRITE_RE = re.compile(r"(?<![\w.>])(?:::)?write\s*\(")
+SEND_RE = re.compile(r"(?<![\w.>])(?:::)?send\s*\(")
 
 
 def strip_code_noise(line):
@@ -106,6 +116,29 @@ def strip_code_noise(line):
     return "".join(out)
 
 
+def call_text(lines, index, line, start):
+    """The argument text of the call whose '(' ends at `start` in `line`
+    (lines[index] with comments removed), up to its closing paren —
+    following the call onto later lines when it wraps."""
+    depth = 1
+    text = []
+    rest = line[start:]
+    while True:
+        for i, c in enumerate(rest):
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+                if depth == 0:
+                    text.append(rest[:i])
+                    return "".join(text)
+        text.append(rest)
+        index += 1
+        if index >= len(lines):
+            return "".join(text)
+        rest = lines[index]
+
+
 def expected_guard(relpath):
     # src/util/check.h -> CAFE_UTIL_CHECK_H_
     inner = relpath[len("src/"):]
@@ -125,6 +158,7 @@ def lint_lines(relpath, lines, findings):
                                     "src/server/"))
     mutex_ok = relpath == "src/util/mutex.h"
     socket_ok = relpath.startswith("src/server/")
+    nosignal_scoped = relpath.startswith("src/server/")
     chrono_scoped = relpath.startswith(("src/search/", "src/index/"))
     fprintf_scoped = (relpath.startswith("src/server/")
                       or relpath == "tools/cafe_serve.cc")
@@ -207,6 +241,16 @@ def lint_lines(relpath, lines, findings):
             report(RULE_CHRONO,
                    "ad-hoc std::chrono in search/index code; time with "
                    "util/timer.h (WallTimer) or obs/ spans")
+        if nosignal_scoped and WRITE_RE.search(code):
+            report(RULE_NOSIGNAL,
+                   "write() on a socket raises SIGPIPE when the peer has "
+                   "hung up; use SendAll (server/protocol.h)")
+        m = SEND_RE.search(code) if nosignal_scoped else None
+        if m and "MSG_NOSIGNAL" not in call_text(lines, lineno - 1,
+                                                  line, m.end()):
+            report(RULE_NOSIGNAL,
+                   "send() without MSG_NOSIGNAL raises SIGPIPE when the "
+                   "peer has hung up; use SendAll (server/protocol.h)")
         if SOCKET_RE.search(code) and not socket_ok:
             report(RULE_SOCKET,
                    "socket headers outside src/server/; the network "
@@ -218,6 +262,25 @@ def lint_lines(relpath, lines, findings):
 # Every rule appears at least once firing and once NOLINT-suppressed, so
 # a regression in either direction fails the selftest.
 SELFTEST_CASES = [
+    ("src/server/http.cc", "ssize_t n = write(fd, buf, len);",
+     RULE_NOSIGNAL),
+    ("src/server/http.cc", "n = ::write(fd, buf, len);", RULE_NOSIGNAL),
+    ("src/server/x.cc", "ssize_t n = send(fd, buf, len, 0);",
+     RULE_NOSIGNAL),
+    ("src/server/x.cc", "ssize_t n = send(fd, buf + sent,\n"
+     "                 len - sent, 0);", RULE_NOSIGNAL),
+    ("src/server/protocol.cc",
+     "ssize_t n = send(fd, buf, len, MSG_NOSIGNAL);", None),
+    ("src/server/protocol.cc", "ssize_t n =\n"
+     "    send(fd, data.data() + sent, data.size() - sent,\n"
+     "         MSG_NOSIGNAL);", None),
+    ("src/server/http.cc", "SendAll(fd, out).IgnoreError();", None),
+    ("src/server/server.cc",
+     "s = WriteFrame(fd, FrameType::kHello, payload);", None),
+    ("src/server/x.cc", "out.write(buf, len);", None),
+    ("src/util/log.cc", "ssize_t n = write(fd, buf, len);", None),
+    ("src/server/x.cc",
+     "write(fd, buf, len);  // NOLINT(cafe-socket-nosignal)", None),
     ("src/util/foo.h", "#ifndef WRONG_GUARD_H_", RULE_GUARD),
     ("src/util/foo.h", "#ifndef CAFE_UTIL_FOO_H_", None),
     ("src/a/b.cc", 'throw std::runtime_error("x");', RULE_THROW),
