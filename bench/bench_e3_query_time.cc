@@ -211,6 +211,11 @@ int main(int argc, char** argv) {
     doc.Add("agreement_partitioned_diagonal", agreements[0] / nq_d);
     doc.Add("agreement_partitioned_disk", agreements[1] / nq_d);
     doc.Add("threads_identical", identical ? 1.0 : 0.0);
+    // The paper's method (diagonal coarse ranking + banded fine
+    // alignment) against its own hit-count ablation (full striped SW on
+    // the same candidate budget): must stay at or below 1.
+    doc.Add("diagonal_over_hitcount",
+            batches[0].mean_query_seconds / batches[2].mean_query_seconds);
     doc.Emit(out_path);
   }
 

@@ -32,14 +32,15 @@ Aligner::Aligner(const ScoringScheme& scheme)
     : scheme_(scheme),
       table_(scheme),
       simd_level_(ActiveSimdLevel()),
-      striped_ok_(StripedScorer::Supported(scheme)),
-      striped_(scheme) {}
+      simd_ok_(StripedScorer::Supported(scheme)),
+      striped_(scheme),
+      banded_(scheme) {}
 
 int Aligner::ScoreOnly(std::string_view query, std::string_view target) const {
   const size_t m = query.size();
   const size_t n = target.size();
   if (m == 0 || n == 0) return 0;
-  if (simd_level_ != SimdLevel::kScalar && striped_ok_) {
+  if (simd_level_ != SimdLevel::kScalar && simd_ok_) {
     int score = 0;
     if (striped_.Score(table_, query, target, simd_level_, &score)) {
       // Same accounting as the scalar loop, so stats and traces are

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "align/smith_waterman.h"
@@ -19,6 +20,9 @@ namespace {
 std::atomic<obs::Counter*> g_striped_scores{nullptr};
 std::atomic<obs::Counter*> g_scalar_scores{nullptr};
 std::atomic<obs::Counter*> g_striped_fallbacks{nullptr};
+std::atomic<obs::Counter*> g_banded_simd_scores{nullptr};
+std::atomic<obs::Counter*> g_banded_scalar_scores{nullptr};
+std::atomic<obs::Counter*> g_banded_fallbacks{nullptr};
 
 #if defined(CAFE_SW_SIMD_X86)
 
@@ -292,9 +296,12 @@ bool StripedScorer::Score(const PairScoreTable& table, std::string_view query,
 
 void AttachAlignSimdMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
-    g_striped_scores.store(nullptr, std::memory_order_release);
-    g_scalar_scores.store(nullptr, std::memory_order_release);
-    g_striped_fallbacks.store(nullptr, std::memory_order_release);
+    for (std::atomic<obs::Counter*>* slot :
+         {&g_striped_scores, &g_scalar_scores, &g_striped_fallbacks,
+          &g_banded_simd_scores, &g_banded_scalar_scores,
+          &g_banded_fallbacks}) {
+      slot->store(nullptr, std::memory_order_release);
+    }
     return;
   }
   g_striped_scores.store(registry->GetCounter("align.striped_scores"),
@@ -303,6 +310,13 @@ void AttachAlignSimdMetrics(obs::MetricsRegistry* registry) {
                         std::memory_order_release);
   g_striped_fallbacks.store(registry->GetCounter("align.striped_fallbacks"),
                             std::memory_order_release);
+  g_banded_simd_scores.store(registry->GetCounter("align.banded_simd_scores"),
+                             std::memory_order_release);
+  g_banded_scalar_scores.store(
+      registry->GetCounter("align.banded_scalar_scores"),
+      std::memory_order_release);
+  g_banded_fallbacks.store(registry->GetCounter("align.banded_fallbacks"),
+                           std::memory_order_release);
 }
 
 namespace internal {
@@ -316,6 +330,18 @@ void RecordScoreOnly(bool striped) {
 
 void RecordStripedFallback() {
   obs::Counter* counter = g_striped_fallbacks.load(std::memory_order_acquire);
+  if (counter != nullptr) counter->Increment();
+}
+
+void RecordBandedScore(bool simd) {
+  obs::Counter* counter =
+      simd ? g_banded_simd_scores.load(std::memory_order_acquire)
+           : g_banded_scalar_scores.load(std::memory_order_acquire);
+  if (counter != nullptr) counter->Increment();
+}
+
+void RecordBandedFallback() {
+  obs::Counter* counter = g_banded_fallbacks.load(std::memory_order_acquire);
   if (counter != nullptr) counter->Increment();
 }
 
