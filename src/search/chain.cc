@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <unordered_map>
 
 #include "index/inverted_index.h"
 #include "index/seed_extract.h"
@@ -19,26 +17,20 @@ std::atomic<obs::Counter*> g_anchors{nullptr};
 std::atomic<obs::Counter*> g_kept{nullptr};
 std::atomic<obs::Counter*> g_dropped{nullptr};
 
-/// A seed match between the query and one candidate sequence.
-struct Anchor {
-  uint32_t qpos;
-  uint32_t spos;
-};
-
 // Length of the longest collinear chain: anchors usable one after
 // another with strictly increasing query AND subject positions.
 // Classic reduction to longest-strictly-increasing-subsequence: after
 // sorting by (qpos asc, spos desc), a strictly increasing subsequence
 // of spos can never take two anchors with equal qpos, so patience
 // tails with lower_bound give the answer in O(m log m).
-uint32_t LongestChain(std::vector<Anchor>* anchors) {
+uint32_t LongestChain(std::vector<SeedAnchor>* anchors) {
   std::sort(anchors->begin(), anchors->end(),
-            [](const Anchor& a, const Anchor& b) {
+            [](const SeedAnchor& a, const SeedAnchor& b) {
               if (a.qpos != b.qpos) return a.qpos < b.qpos;
               return a.spos > b.spos;
             });
   std::vector<uint32_t> tails;
-  for (const Anchor& a : *anchors) {
+  for (const SeedAnchor& a : *anchors) {
     auto it = std::lower_bound(tails.begin(), tails.end(), a.spos);
     if (it == tails.end()) {
       tails.push_back(a.spos);
@@ -77,92 +69,45 @@ ChainOutcome ChainCandidates(std::string_view query,
   WallTimer timer;
   obs::Span chain_span(options.spans, "chain.filter");
 
-  // Query term -> positions, extracted exactly as the coarse phase does.
-  const auto terms = QueryTermPositions(query, iopt);
-
-  // Anchor gathering, restricted to the coarse candidate set: one more
-  // pass over the query's postings lists, but only (doc, pos) pairs of
-  // surviving candidates are materialized.
-  std::unordered_map<uint32_t, uint32_t> slot_of;
-  slot_of.reserve(candidates.size() * 2);
-  for (uint32_t i = 0; i < candidates.size(); ++i) {
-    slot_of.emplace(candidates[i].doc, i);
-  }
-  std::vector<std::vector<Anchor>> anchors(candidates.size());
-  for (const auto& [term, qpositions] : terms) {
-    const std::vector<uint32_t>& qpos_list = qpositions;
-    index.ScanPostings(
-        term, [&](uint32_t doc, uint32_t /*tf*/, const uint32_t* positions,
-                  uint32_t npos) {
-          auto it = slot_of.find(doc);
-          if (it == slot_of.end()) return;
-          std::vector<Anchor>& a = anchors[it->second];
-          for (uint32_t pi = 0; pi < npos; ++pi) {
-            for (uint32_t qpos : qpos_list) {
-              a.push_back(Anchor{qpos, positions[pi]});
-            }
-          }
-        });
-  }
-
-  const int64_t qlen = static_cast<int64_t>(query.size());
+  // Diagonal ranking hands each candidate the anchors of its best
+  // (frame, frame + 1) window. Candidates ranked without them
+  // (hit-count mode) get them from one pass over the postings lists,
+  // windowed by the same code.
   const uint32_t frame_width =
       options.frame_width == 0 ? 16 : options.frame_width;
+  CollectWindowAnchors(query, index, frame_width, &candidates);
+
+  const int64_t qlen = static_cast<int64_t>(query.size());
   ChainOutcome out;
   out.kept.reserve(candidates.size());
   uint64_t total_anchors = 0;
-  std::vector<Anchor> filtered;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    std::vector<Anchor>& a = anchors[i];
-    total_anchors += a.size();
+  std::vector<SeedAnchor> filtered;
+  for (CoarseCandidate& cand : candidates) {
+    total_anchors += cand.doc_anchors;
     uint32_t chain_len = 0;
     int hint = options.band;
-    if (!a.empty()) {
-      // Diagonal filter: bucket anchors into frames of the diagonal
-      // range (mirroring the coarse ranker's geometry) and keep only
-      // the best combined (frame, frame+1) window. Ordered map =>
-      // deterministic smallest-frame tie-break.
-      std::map<uint64_t, uint32_t> frames;
-      auto frame_of = [&](const Anchor& an) {
-        int64_t diag =
-            static_cast<int64_t>(an.spos) - static_cast<int64_t>(an.qpos);
-        return static_cast<uint64_t>(diag + qlen) / frame_width;
-      };
-      for (const Anchor& an : a) ++frames[frame_of(an)];
-      uint64_t best_frame = 0;
-      uint32_t best_count = 0;
-      for (const auto& [frame, count] : frames) {
-        auto right = frames.find(frame + 1);
-        uint32_t combined =
-            count + (right == frames.end() ? 0 : right->second);
-        if (combined > best_count) {
-          best_count = combined;
-          best_frame = frame;
-        }
-      }
-      filtered.clear();
-      for (const Anchor& an : a) {
-        uint64_t frame = frame_of(an);
-        if (frame == best_frame || frame == best_frame + 1) {
-          filtered.push_back(an);
-        }
-      }
+    if (!cand.window_anchors.empty()) {
+      filtered = cand.window_anchors;
       chain_len = LongestChain(&filtered);
 
-      // Band hint: half-width covering the filtered diagonal window
+      // Band hint: half-width covering the window's diagonal range
       // (plus the seed's own span) around the candidate's diagonal.
-      const int64_t lo =
-          static_cast<int64_t>(best_frame) * frame_width - qlen;
+      // The window's first frame is the frame of its first anchor.
+      const SeedAnchor& first = cand.window_anchors.front();
+      const int64_t best_frame =
+          (static_cast<int64_t>(first.spos) -
+           static_cast<int64_t>(first.qpos) + qlen) /
+          frame_width;
+      const int64_t lo = best_frame * frame_width - qlen;
       const int64_t hi =
-          static_cast<int64_t>(best_frame + 2) * frame_width - qlen +
-          extractor->window();
+          (best_frame + 2) * frame_width - qlen + extractor->window();
       const int64_t center =
-          candidates[i].has_diagonal ? candidates[i].diagonal : (lo + hi) / 2;
+          cand.has_diagonal ? cand.diagonal : (lo + hi) / 2;
       const int64_t spread = std::max(center - lo, hi - center);
       hint = static_cast<int>(std::max<int64_t>(options.band, spread));
     }
     if (chain_len >= options.min_chain_score) {
-      out.kept.push_back(candidates[i]);
+      out.kept.push_back(std::move(cand));
       out.band_hints.push_back(hint);
     }
   }

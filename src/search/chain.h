@@ -1,12 +1,17 @@
 // The chaining middle stage of partitioned search: between the coarse
-// interval ranking and the fine (DP) alignment phase, re-examine each
-// coarse candidate's seed matches as (query position, subject position)
-// anchors, filter them to the best diagonal window, and keep only the
-// candidates whose anchors form a collinear chain — the localization
-// step the positional-index DNA engines build on (arXiv:1307.0194,
-// arXiv:1006.4114). After PR 8's SIMD work the fine-phase candidate
-// count, not per-candidate cost, dominates query time; this stage is
-// the knife that shrinks it.
+// interval ranking and the fine (DP) alignment phase, take each coarse
+// candidate's seed matches in its best diagonal window as (query
+// position, subject position) anchors and keep only the candidates
+// whose anchors form a collinear chain — the localization step the
+// positional-index DNA engines build on (arXiv:1307.0194,
+// arXiv:1006.4114). It shrinks the fine phase's candidate count.
+//
+// Diagonal ranking already windows every sequence's anchors, so its
+// candidates carry their best-window anchors (CoarseCandidate::
+// window_anchors) and this stage decodes no postings. Hit-count
+// candidates carry none; for them the stage makes one pass over the
+// query's postings lists, restricted to the candidates, through the
+// same windowing code (CollectWindowAnchors).
 //
 // The stage is deliberately conservative: it only *drops* candidates
 // (never reorders or rescores them), and its band hints only widen the
@@ -45,11 +50,16 @@ struct ChainOutcome {
   std::vector<int> band_hints;
 };
 
-/// Runs the diagonal-filter + collinear-chaining stage. Passes every
-/// candidate through untouched (hints = options.band) when chaining is
-/// off, the index lacks positions, or there are no candidates; when
-/// active, adds the chain.* funnel to `trace` (chain_micros,
-/// chain_candidates_in/anchors/kept/dropped; must be non-null) and the
+/// Runs the diagonal-filter + collinear-chaining stage on the anchors
+/// each candidate carries from CoarseRanker::Rank, which must have
+/// ranked at options.frame_width. Candidates without carried anchors
+/// (doc_anchors == 0, as hit-count ranking leaves them) get theirs
+/// from one pass over the postings lists. Passes every candidate
+/// through untouched (hints = options.band) when chaining is off, the
+/// index lacks positions, or there are no candidates; when active,
+/// adds the chain.* funnel to `trace` (chain_micros,
+/// chain_candidates_in/anchors/kept/dropped, where chain_anchors counts
+/// every anchor of each candidate's sequence; must be non-null) and the
 /// process-wide chain.* counters. Deterministic: depends only on
 /// (query, index, candidates, options), never on thread count.
 ChainOutcome ChainCandidates(std::string_view query,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 
 #include "align/smith_waterman.h"
 #include "index/inverted_index.h"
@@ -128,11 +129,12 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
     candidates.clear();
   }
 
-  // Chaining middle stage: re-examine each candidate's seed matches as
-  // (qpos, spos) anchors, filter to the best diagonal window, and drop
-  // candidates without a collinear chain of min_chain_score seeds. A
-  // pure pass-through when chaining is off or the index lacks
-  // positions. Sequential and deterministic, like the coarse phase.
+  // Chaining middle stage: chain the (qpos, spos) anchors of each
+  // candidate's best diagonal window, which the coarse phase carried
+  // here, and drop candidates without a collinear chain of
+  // min_chain_score seeds. A pure pass-through when chaining is off or
+  // the index lacks positions. Sequential and deterministic, like the
+  // coarse phase.
   ChainOutcome chained = ChainCandidates(query, std::move(candidates),
                                          *index_, options, &trace);
   const std::vector<CoarseCandidate>& survivors = chained.kept;
@@ -234,14 +236,19 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
   // the contract after a deadline is "return what you have, fast".
   WallTimer post;
   obs::Span post_process_span(spans, "post.process");
-  Aligner post_aligner(options.scoring);
+  // Built only when post-processing aligns: an Aligner fills a
+  // 256 x 256 pair-score table (~0.5 ms), most of a short default query.
+  std::optional<Aligner> post_aligner;
+  if (options.rescore_full || options.traceback) {
+    post_aligner.emplace(options.scoring);
+  }
   std::string seq;
   if (options.rescore_full && !result.truncated) {
     // Remove band clipping from the reported scores: one full DP per
     // reported hit (cheap — max_results sequences, not the collection).
     for (SearchHit& hit : result.hits) {
       CAFE_RETURN_IF_ERROR(collection_->GetSequence(hit.seq_id, &seq));
-      hit.score = post_aligner.ScoreOnly(query, seq);
+      hit.score = post_aligner->ScoreOnly(query, seq);
     }
     std::sort(result.hits.begin(), result.hits.end(),
               [](const SearchHit& a, const SearchHit& b) {
@@ -268,19 +275,21 @@ Result<SearchResult> PartitionedSearch::Search(std::string_view query,
         }
       }
       if (cand != nullptr && cand->has_diagonal) {
-        Result<LocalAlignment> aln = post_aligner.BandedAlign(
+        Result<LocalAlignment> aln = post_aligner->BandedAlign(
             query, seq, cand->diagonal, traceback_band);
         if (!aln.ok()) return aln.status();
         hit.alignment = std::move(*aln);
       } else {
-        Result<LocalAlignment> aln = post_aligner.Align(query, seq);
+        Result<LocalAlignment> aln = post_aligner->Align(query, seq);
         if (!aln.ok()) return aln.status();
         hit.alignment = std::move(*aln);
       }
     }
   }
 
-  trace.cells_computed += post_aligner.cells_computed();
+  if (post_aligner.has_value()) {
+    trace.cells_computed += post_aligner->cells_computed();
+  }
   trace.hits_reported = result.hits.size();
   if (options.statistics.has_value()) {
     AnnotateStatistics(&result, query.size(), collection_->TotalBases(),

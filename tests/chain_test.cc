@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "index/seed_extract.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "search/partitioned.h"
@@ -199,6 +203,158 @@ TEST(ChainTest, ChainCandidatesPassthroughWhenOff) {
   EXPECT_EQ(out.band_hints,
             (std::vector<int>(3, options.band)));
   EXPECT_EQ(trace.chain_candidates_in, 0u);  // pass-through records nothing
+}
+
+// The chaining stage as it was built before the coarse ranker carried
+// its anchors: decode the postings a second time for the candidates'
+// sequences, bucket each candidate's anchors by frame in an ordered
+// map, keep the best (frame, frame + 1) window (ties to the smallest
+// frame), and chain it with an O(m^2) longest-collinear-chain DP.
+struct ReferenceChain {
+  std::vector<CoarseCandidate> kept;
+  std::vector<int> band_hints;
+  uint64_t anchors = 0;
+  uint64_t dropped = 0;
+};
+
+uint32_t QuadraticLongestChain(const std::vector<SeedAnchor>& anchors) {
+  std::vector<SeedAnchor> a = anchors;
+  std::sort(a.begin(), a.end(), [](const SeedAnchor& x, const SeedAnchor& y) {
+    return x.qpos != y.qpos ? x.qpos < y.qpos : x.spos < y.spos;
+  });
+  std::vector<uint32_t> best(a.size(), 1);
+  uint32_t longest = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (a[j].qpos < a[i].qpos && a[j].spos < a[i].spos) {
+        best[i] = std::max(best[i], best[j] + 1);
+      }
+    }
+    longest = std::max(longest, best[i]);
+  }
+  return longest;
+}
+
+ReferenceChain TwoPassReference(const std::string& query,
+                                const std::vector<CoarseCandidate>& cands,
+                                const PostingSource& index,
+                                const SearchOptions& options) {
+  std::set<uint32_t> docs;
+  for (const CoarseCandidate& c : cands) docs.insert(c.doc);
+  std::map<uint32_t, std::vector<SeedAnchor>> by_doc;
+  for (const auto& [term, qpositions] :
+       QueryTermPositions(query, index.options())) {
+    index.ScanPostings(term, [&](uint32_t doc, uint32_t,
+                                 const uint32_t* positions, uint32_t npos) {
+      if (docs.count(doc) == 0) return;
+      for (uint32_t pi = 0; pi < npos; ++pi) {
+        for (uint32_t qpos : qpositions) {
+          by_doc[doc].push_back(SeedAnchor{qpos, positions[pi]});
+        }
+      }
+    });
+  }
+  Result<SeedExtractor> ex = SeedExtractor::Create(
+      index.options().interval_length, index.options().spaced_seed);
+  EXPECT_TRUE(ex.ok());
+  const auto qlen = static_cast<int64_t>(query.size());
+  const int64_t fw = options.frame_width;
+  ReferenceChain ref;
+  for (const CoarseCandidate& cand : cands) {
+    const std::vector<SeedAnchor>& a = by_doc[cand.doc];
+    ref.anchors += a.size();
+    uint32_t chain_len = 0;
+    int hint = options.band;
+    if (!a.empty()) {
+      auto frame_of = [&](const SeedAnchor& x) {
+        return (static_cast<int64_t>(x.spos) - x.qpos + qlen) / fw;
+      };
+      std::map<int64_t, uint32_t> frames;
+      for (const SeedAnchor& x : a) ++frames[frame_of(x)];
+      int64_t best_frame = 0;
+      uint32_t best_count = 0;
+      for (const auto& [frame, count] : frames) {
+        auto right = frames.find(frame + 1);
+        const uint32_t combined =
+            count + (right == frames.end() ? 0 : right->second);
+        if (combined > best_count) {
+          best_count = combined;
+          best_frame = frame;
+        }
+      }
+      std::vector<SeedAnchor> window;
+      for (const SeedAnchor& x : a) {
+        const int64_t f = frame_of(x);
+        if (f == best_frame || f == best_frame + 1) window.push_back(x);
+      }
+      chain_len = QuadraticLongestChain(window);
+      const int64_t lo = best_frame * fw - qlen;
+      const int64_t hi = (best_frame + 2) * fw - qlen + ex->window();
+      const int64_t center = cand.has_diagonal ? cand.diagonal : (lo + hi) / 2;
+      hint = static_cast<int>(std::max<int64_t>(
+          options.band, std::max(center - lo, hi - center)));
+    }
+    if (chain_len >= options.min_chain_score) {
+      ref.kept.push_back(cand);
+      ref.band_hints.push_back(hint);
+    } else {
+      ++ref.dropped;
+    }
+  }
+  return ref;
+}
+
+using CandidateTuple = std::tuple<uint32_t, double, int64_t, bool>;
+
+std::vector<CandidateTuple> Summary(const std::vector<CoarseCandidate>& c) {
+  std::vector<CandidateTuple> out;
+  for (const CoarseCandidate& x : c) {
+    out.emplace_back(x.doc, x.score, x.diagonal, x.has_diagonal);
+  }
+  return out;
+}
+
+TEST(ChainTest, CarriedAnchorsMatchTwoPassReference) {
+  for (const std::string spaced : {"", "11011011011"}) {
+    Fixture f = MakeFixture(IndexGranularity::kPositional, spaced);
+    CoarseRanker ranker(&f.index);
+    for (CoarseRankMode mode :
+         {CoarseRankMode::kDiagonal, CoarseRankMode::kHitCount}) {
+      SearchOptions options;
+      options.fine_candidates = 30;
+      options.chain_mode = ChainMode::kFilter;
+      options.min_chain_score = 8;
+      options.coarse_mode = mode;
+      uint64_t dropped = 0;
+      for (const sim::PlantedQuery& q : f.queries) {
+        obs::SearchTrace trace;
+        std::vector<CoarseCandidate> cands =
+            ranker.Rank(q.sequence, mode, options.fine_candidates,
+                        options.frame_width, &trace);
+        ASSERT_FALSE(cands.empty());
+        const ReferenceChain ref =
+            TwoPassReference(q.sequence, cands, f.index, options);
+        ChainOutcome out =
+            ChainCandidates(q.sequence, cands, f.index, options, &trace);
+        const std::string where =
+            "seed '" + spaced + "' mode " + std::to_string(static_cast<int>(mode));
+        EXPECT_EQ(Summary(out.kept), Summary(ref.kept)) << where;
+        EXPECT_EQ(out.band_hints, ref.band_hints) << where;
+        EXPECT_EQ(trace.chain_anchors, ref.anchors) << where;
+        EXPECT_EQ(trace.chain_candidates_in, cands.size()) << where;
+        EXPECT_EQ(trace.chain_candidates_kept, ref.kept.size()) << where;
+        EXPECT_EQ(trace.chain_candidates_dropped, ref.dropped) << where;
+        EXPECT_EQ(trace.chain_candidates_in,
+                  trace.chain_candidates_kept +
+                      trace.chain_candidates_dropped)
+            << where;
+        dropped += trace.chain_candidates_dropped;
+      }
+      // Both modes filter: hit-count candidates, which carry no
+      // anchors, are windowed and chained all the same.
+      EXPECT_GT(dropped, 0u) << "mode " << static_cast<int>(mode);
+    }
+  }
 }
 
 TEST(ChainTest, RecordsProcessWideCounters) {
